@@ -144,16 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_topspeed)
 
     p = sub.add_parser(
-        "compare-regen", parents=[common],
-        help="range with vs without energy recovery",
-    )
-    p.add_argument(
-        "--until-soc", type=float, metavar="F",
-        help="SoC floor ending the runs (default: config battery.soc_floor)",
-    )
-    p.set_defaults(func=cmd_compare_regen)
-
-    p = sub.add_parser(
         "size-motor", parents=[common],
         help="steady-state cruising power for a design speed (and the inverse)",
     )
@@ -236,13 +226,11 @@ def _ledger_dict(ledger: EnergyLedger) -> dict:
     return d
 
 
-def emit_trace(trace: SimTrace, path: str, every: int = 1) -> None:
+def emit_trace(trace: SimTrace, path: str) -> None:
     """Write the trace CSV (exact 15-column header, 6 significant digits)."""
-    if every < 1:
-        raise ValueError(f"--every must be >= 1 (got {every})")
     cols = [getattr(trace, f) for f in TRACE_FIELDS]
     lines = [",".join(TRACE_FIELDS)]
-    for i in range(0, len(trace), every):
+    for i in range(len(trace)):
         lines.append(",".join(format(float(c[i]), ".6g") for c in cols))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -257,11 +245,12 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--every must be >= 1 (got {args.every})")
     if args.repeat > 1:
         cycle = repeat(cycle, args.repeat)
+    trace_every = args.every if (args.out or args.plot) else 0
     trace, summary, ledger = run(
-        config, cycle, regen_enabled=not args.no_regen
+        config, cycle, regen_enabled=not args.no_regen, trace_every=trace_every
     )
     if args.out:
-        emit_trace(trace, args.out, every=args.every)
+        emit_trace(trace, args.out)
     if args.plot:
         emit_plot(trace, "tracking", args.plot)
     stats = cycle_stats(cycle)
@@ -338,14 +327,6 @@ def cmd_range(args) -> int:
         }
     )
     return 0
-
-
-def cmd_compare_regen(args) -> int:
-    args.compare_regen = True
-    args.out = None
-    args.plot = None
-    args.every = 10
-    return cmd_range(args)
 
 
 def cmd_accel(args) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -27,11 +27,17 @@ class DriveCycle:
         name: Label used in reports and plots.
         times_s: Sample times [s]; strictly increasing, starting at 0.
         speeds_kmh: Target speeds [km/h]; non-negative.
+
+    ``_times`` and ``_speeds`` hold the same knots as tuples of Python
+    floats, built once, for the per-step lookups of ``target_speed`` and
+    the engine; the arrays are write-protected, so they cannot go stale.
     """
 
     name: str
     times_s: np.ndarray
     speeds_kmh: np.ndarray
+    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _speeds: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times_s, dtype=np.float64)
@@ -50,6 +56,8 @@ class DriveCycle:
         v.setflags(write=False)
         object.__setattr__(self, "times_s", t)
         object.__setattr__(self, "speeds_kmh", v)
+        object.__setattr__(self, "_times", tuple(t.tolist()))
+        object.__setattr__(self, "_speeds", tuple(v.tolist()))
 
     @property
     def duration_s(self) -> float:
@@ -124,20 +132,20 @@ def serialize_cycle(cycle: DriveCycle) -> str:
 def target_speed(cycle: DriveCycle, t: float) -> float:
     """Target speed at time t [km/h]: linear between samples, last value held.
 
-    The interpolation expression must stay identical to the engine's inline
-    cursor (bit-for-bit), so keep any change in sync with engine._make_kernel.
+    The interpolation expression must stay identical to the cycle cursor in
+    engine._advance (bit-for-bit), so keep any change in sync with it.
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0 (got {t})")
-    times = cycle.times_s
-    speeds = cycle.speeds_kmh
+    times = cycle._times
+    speeds = cycle._speeds
     if t >= times[-1]:
-        return float(speeds[-1])
+        return speeds[-1]
     i = bisect_right(times, t) - 1
-    t0 = float(times[i])
-    t1 = float(times[i + 1])
-    v0 = float(speeds[i])
-    v1 = float(speeds[i + 1])
+    t0 = times[i]
+    t1 = times[i + 1]
+    v0 = speeds[i]
+    v1 = speeds[i + 1]
     return v0 + (v1 - v0) * ((t - t0) / (t1 - t0))
 
 

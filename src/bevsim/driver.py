@@ -3,16 +3,15 @@
 The PI output is a normalized command in [-1, 1]; positive demands
 propulsion torque, negative demands braking. Negative commands are split
 regen-first: the motor absorbs as much of the demanded wheel force as its
-torque envelope allows (unless regeneration is disallowed or the vehicle is
-below the cutoff speed), and the friction system supplies the remainder up
-to its cap.
+torque envelope allows (unless the vehicle is below the cutoff speed), and
+the friction system supplies the remainder up to its cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .params import DriverParams, VehicleConfig, motor_rpm_per_kmh
+from .params import DriverParams, VehicleConfig
 from .powertrain import available_torque
 
 
@@ -80,7 +79,6 @@ def split_command(
     motor_speed_rpm: float,
     vehicle_speed_kmh: float,
     config: VehicleConfig,
-    allow_regen: bool = True,
 ) -> ActuationRequest:
     """Resolve a normalized command into propulsion/regen/friction demands.
 
@@ -89,9 +87,9 @@ def split_command(
     |command| * (friction cap + regen-capable wheel force); regeneration is
     capable of ``available_torque * gear_ratio / (transmission_efficiency *
     wheel_radius)`` at the wheels (losses subtract from the through-power on
-    the generating path) and is disabled below the cutoff speed or when
-    ``allow_regen`` is false. Beyond the motor speed ceiling the available
-    torque is treated as zero rather than an error.
+    the generating path) and is disabled below the cutoff speed. Beyond the
+    motor speed ceiling the available torque is treated as zero rather than
+    an error.
     """
     motor = config.motor
     d = config.drivetrain
@@ -102,8 +100,7 @@ def split_command(
     if command >= 0.0:
         return ActuationRequest(propulsion_torque_nm=command * avail)
 
-    regen_capable = allow_regen and vehicle_speed_kmh > d.regen_cutoff_speed
-    if regen_capable:
+    if vehicle_speed_kmh > d.regen_cutoff_speed:
         cap_wheel_force = (
             avail * d.gear_ratio
             / (d.transmission_efficiency * config.body.wheel_radius)
@@ -125,11 +122,3 @@ def split_command(
         / d.gear_ratio
     )
     return ActuationRequest(regen_torque_nm=regen_torque, friction_force_n=friction)
-
-
-def motor_speed_for(config: VehicleConfig, vehicle_speed_kmh: float) -> float:
-    """Motor shaft speed [rpm] implied by a vehicle speed [km/h]."""
-    return (
-        motor_rpm_per_kmh(config.body.wheel_radius, config.drivetrain.gear_ratio)
-        * vehicle_speed_kmh
-    )

@@ -25,9 +25,12 @@ Engine-level rules the component modules leave open:
 * Beyond the motor speed ceiling the commanded torque is capped to zero
   rather than raising mid-run.
 
-``run`` drives an inlined transcription of the same arithmetic as ``step``
-(which composes the component operations); the two are kept bit-identical
-and a regression test enforces it. Runs are deterministic: identical
+All per-step arithmetic lives in one private kernel, ``_advance``, which
+inlines the component formulas of ``driver``, ``dynamics`` and
+``powertrain``. ``run`` calls it once for a whole run; ``step`` calls it
+for a single step from a client-held ``SimState``. The test suite keeps the
+composition of the component operations as a reference and checks both
+entry points against it bit for bit. Runs are deterministic: identical
 config, cycle, and options produce bit-identical traces.
 """
 
@@ -35,31 +38,18 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .cycle import DriveCycle, target_speed
-from .driver import ActuationRequest, DriverState, pi_step, split_command
-from .dynamics import (
-    BodyState,
-    ForceBreakdown,
-    acceleration,
-    aero_drag,
-    integrate,
-    rolling_resistance,
-)
-from .errors import ConfigError, DegenerateVoltageError
-from .params import RPM_KW_CONSTANT, VehicleConfig, validate
-from .powertrain import (
-    BatteryState,
-    MotorOperatingPoint,
-    battery_step,
-    initial_battery_state,
-    motor_current,
-    motor_electrical_power,
-)
+from .cycle import DriveCycle
+from .driver import DriverState
+from .dynamics import BodyState
+from .errors import ConfigError, DegenerateVoltageError, EnvelopeError
+from .params import RPM_KW_CONSTANT, VehicleConfig, motor_rpm_per_kmh, validate
+from .powertrain import BatteryState, initial_battery_state
 
 _J_PER_KWH = 3.6e6
 
@@ -78,8 +68,6 @@ class SimState:
     body: BodyState
     battery: BatteryState
     driver: DriverState
-    last_forces: ForceBreakdown
-    last_motor: MotorOperatingPoint
 
 
 class TraceRecord(NamedTuple):
@@ -189,14 +177,25 @@ class SimSummary:
     stop_reason: StopReason
 
 
+class _Carry(NamedTuple):
+    """Integration state handed into and out of the kernel."""
+
+    t_s: float
+    v_kmh: float
+    dist_km: float
+    integral: float
+    soc: float
+    volt_v: float
+    energy_out_kwh: float
+    energy_regen_kwh: float
+
+
 def initial_state(config: VehicleConfig) -> SimState:
     return SimState(
         t_s=0.0,
         body=BodyState(),
         battery=initial_battery_state(config.battery),
         driver=DriverState(),
-        last_forces=ForceBreakdown(),
-        last_motor=MotorOperatingPoint(0.0, 0.0, 0.0, 0.0),
     )
 
 
@@ -209,124 +208,54 @@ def step(
 ) -> tuple[SimState, TraceRecord]:
     """Advance one fixed step; returns the new state and its trace record.
 
-    Composes the component operations in the documented order. The returned
-    record carries the post-step time, speed, and target (the pair the next
-    command acts on) together with the torques and forces applied during
-    the step.
+    Runs ``run``'s kernel for one step from ``state``, which may sit
+    anywhere in the cycle (past its end the last target speed holds). The
+    returned record carries the post-step time, speed, and target (the pair
+    the next command acts on) together with the torques and forces applied
+    during the step.
+
+    Raises:
+        ValueError: If ``state.t_s`` is negative or ``config.sim.dt`` is
+            not positive.
+        EnvelopeError: If the vehicle speed is negative.
+        DegenerateVoltageError: If the terminal voltage is below 1 V.
     """
-    body = config.body
-    d = config.drivetrain
     dt = config.sim.dt
-    v_kmh = state.body.speed_kmh
-    target = target_speed(cycle, state.t_s)
-
-    if pinned_command is None:
-        cmd, driver_state = pi_step(state.driver, target, v_kmh, dt, config.driver)
-    else:
-        cmd = pinned_command
-        driver_state = DriverState(integral=state.driver.integral, last_command=cmd)
-
-    rpm = (
-        d.gear_ratio * (60.0 / math.tau) / (3.6 * body.wheel_radius)
-    ) * v_kmh
-    request = split_command(cmd, rpm, v_kmh, config)
-    tau_p = request.propulsion_torque_nm
-    f_fric = request.friction_force_n
-    # Recover the wheel-side regen force from the shaft torque so the trace
-    # torque and the applied force stay mutually consistent.
-    f_regen = (
-        request.regen_torque_nm * d.gear_ratio / d.transmission_efficiency
-        / body.wheel_radius
+    if state.t_s < 0.0:
+        raise ValueError(f"t must be >= 0 (got {state.t_s})")
+    if dt <= 0.0:
+        raise ValueError(f"dt must be > 0 (got {dt})")
+    body = state.body
+    battery = state.battery
+    if body.speed_kmh < 0.0:
+        raise EnvelopeError(f"vehicle speed must be >= 0 (got {body.speed_kmh})")
+    start = _Carry(
+        state.t_s,
+        body.speed_kmh,
+        body.distance_km,
+        state.driver.integral,
+        battery.soc,
+        battery.terminal_voltage,
+        battery.cumulative_energy_out,
+        battery.cumulative_energy_regen,
     )
-    f_p = tau_p * d.gear_ratio * d.transmission_efficiency / body.wheel_radius
-
-    if v_kmh > 0.0:
-        rr = rolling_resistance(body, v_kmh)
-        wr = aero_drag(body, v_kmh)
-        forces = ForceBreakdown(f_p, f_regen, f_fric, rr, wr)
-        a = acceleration(forces, body.mass)
-        if v_kmh + a * dt * 3.6 < 0.0:
-            # Stop clamp: shed friction first, then regen, to end at rest.
-            v_ms = v_kmh / 3.6
-            brake_needed = body.mass * v_ms / dt - rr - wr
-            if brake_needed <= 0.0:
-                tau_r = 0.0
-                f_regen = 0.0
-                f_fric = 0.0
-            elif brake_needed <= f_regen:
-                tau_r = (
-                    brake_needed * d.transmission_efficiency
-                    * body.wheel_radius / d.gear_ratio
-                )
-                f_regen = (
-                    tau_r * d.gear_ratio / d.transmission_efficiency
-                    / body.wheel_radius
-                )
-                f_fric = 0.0
-            else:
-                tau_r = request.regen_torque_nm
-                f_fric = brake_needed - f_regen
-            request = ActuationRequest(
-                regen_torque_nm=tau_r, friction_force_n=f_fric
-            )
-            forces = ForceBreakdown(f_p, f_regen, f_fric, rr, wr)
-            a = -v_ms / dt
-        new_body = integrate(state.body, a, dt)
-    else:
-        # At rest: resistances report zero; launch only past the static
-        # rolling threshold, against zero resistance for this step.
-        rr = 0.0
-        wr = 0.0
-        f_regen = 0.0
-        f_fric = 0.0
-        request = ActuationRequest(propulsion_torque_nm=tau_p)
-        if f_p > body.mass * body.gravity * body.f0:
-            forces = ForceBreakdown(propulsion=f_p)
-        else:
-            f_p = 0.0
-            forces = ForceBreakdown()
-        a = acceleration(forces, body.mass)
-        new_body = integrate(state.body, a, dt)
-
-    if tau_p > 0.0:
-        tau_signed = tau_p
-    elif request.regen_torque_nm > 0.0:
-        tau_signed = -request.regen_torque_nm
-    else:
-        tau_signed = 0.0
-    p_elec = motor_electrical_power(tau_signed, rpm, config.motor.efficiency)
-    if p_elec < 0.0:
-        p_batt = (p_elec * d.regen_efficiency if regen_enabled else 0.0) + 0.0
-    else:
-        p_batt = p_elec
-    current = motor_current(p_batt, state.battery.terminal_voltage) + 0.0
-    new_battery = battery_step(state.battery, current, dt, config.battery)
-
-    t2 = state.t_s + dt
-    record = TraceRecord(
-        t_s=t2,
-        v_target_kmh=target_speed(cycle, t2),
-        v_kmh=new_body.speed_kmh,
-        dist_km=new_body.distance_km,
-        cmd=cmd,
-        motor_nm=tau_signed,
-        motor_rpm=rpm,
-        fric_n=request.friction_force_n,
-        batt_kw=p_batt,
-        current_a=current,
-        volt_v=new_battery.terminal_voltage,
-        soc=new_battery.soc,
-        rr_n=rr,
-        wr_n=wr,
-        accel_ms2=a,
+    end, cols, _, _, saturated = _advance(
+        config, cycle, start, 1,
+        regen_enabled=regen_enabled, stop_at_soc=None, repeat=False,
+        pinned_command=pinned_command, trace_every=1,
     )
+    record = TraceRecord._make(col[0] for col in cols)
     new_state = SimState(
-        t_s=t2,
-        body=new_body,
-        battery=new_battery,
-        driver=driver_state,
-        last_forces=forces,
-        last_motor=MotorOperatingPoint(tau_signed, rpm, p_elec, current),
+        t_s=end.t_s,
+        body=BodyState(end.v_kmh, end.dist_km, record.accel_ms2),
+        battery=BatteryState(
+            end.soc,
+            end.volt_v,
+            end.energy_out_kwh,
+            end.energy_regen_kwh,
+            battery.soc_saturated or saturated,
+        ),
+        driver=DriverState(end.integral, record.cmd),
     )
     return new_state, record
 
@@ -369,6 +298,79 @@ def run(
     if trace_every < 0:
         raise ValueError(f"trace_every must be >= 0 (got {trace_every})")
 
+    bat = config.battery
+    dt = config.sim.dt
+    duration = cycle.duration_s
+
+    cycle_steps = None if repeat else _steps_for(duration, dt)
+    if max_time is not None:
+        time_steps = _steps_for(max_time, dt)
+    elif repeat or stop_at_soc is not None:
+        time_steps = _steps_for(config.sim.max_sim_time, dt)
+    else:
+        time_steps = None
+    limits = [s for s in (cycle_steps, time_steps) if s is not None]
+    step_limit = min(limits)
+    time_limited = time_steps is not None and time_steps <= step_limit
+
+    start = _Carry(0.0, 0.0, 0.0, 0.0, bat.initial_soc, bat.nominal_voltage, 0.0, 0.0)
+    end, cols, ledger_j, max_err, _ = _advance(
+        config, cycle, start, step_limit,
+        regen_enabled=regen_enabled, stop_at_soc=stop_at_soc, repeat=repeat,
+        pinned_command=pinned_command, trace_every=trace_every,
+    )
+    # The kernel stops early only at the soc floor, which also outranks a
+    # step limit reached on the same step.
+    if stop_at_soc is not None and end.soc <= stop_at_soc:
+        reason = StopReason.SOC_FLOOR
+    elif time_limited:
+        reason = StopReason.MAX_TIME
+    else:
+        reason = StopReason.CYCLE_END
+
+    t = end.t_s
+    trace = SimTrace(*(np.asarray(col, dtype=np.float64) for col in cols))
+    cycle_max = float(np.max(cycle.speeds_kmh))
+    summary = SimSummary(
+        duration_s=t,
+        distance_km=end.dist_km,
+        soc_start=bat.initial_soc,
+        soc_end=end.soc,
+        max_tracking_error_kmh=max_err,
+        max_tracking_error_pct=(
+            100.0 * max_err / cycle_max if cycle_max > 0.0 else 0.0
+        ),
+        energy_out_kwh=end.energy_out_kwh,
+        energy_regen_kwh=end.energy_regen_kwh,
+        cycles_completed=int((t + dt * 1e-6) / duration) if duration > 0.0 else 0,
+        stop_reason=reason,
+    )
+    ledger = EnergyLedger(*(e / _J_PER_KWH for e in ledger_j))
+    return trace, summary, ledger
+
+
+def _advance(
+    config: VehicleConfig,
+    cycle: DriveCycle,
+    start: _Carry,
+    step_limit: int,
+    *,
+    regen_enabled: bool,
+    stop_at_soc: float | None,
+    repeat: bool,
+    pinned_command: float | None,
+    trace_every: int,
+) -> tuple[_Carry, list[list[float]], tuple[float, ...], float, bool]:
+    """The simulation kernel: advance ``start`` by ``step_limit`` steps, or
+    fewer once the soc reaches ``stop_at_soc``.
+
+    ``start.t_s`` may lie anywhere in the cycle, but a repeating run must
+    start within its first pass. Returns the end state; one list per
+    TRACE_FIELDS column holding every ``trace_every``-th record (none when
+    0); the ledger buckets in joules, in EnergyLedger field order; the
+    largest post-step tracking error [km/h]; and whether the soc was
+    clamped to [0, 1] on any step.
+    """
     body = config.body
     motor = config.motor
     bat = config.battery
@@ -402,36 +404,18 @@ def run(
     z = bat.internal_resistance
     eta_c = bat.coulombic_efficiency
     capacity_ah = 1000.0 * bat.capacity_energy / vn
-    rpm_per_kmh = gr * (60.0 / math.tau) / (3.6 * rw)
+    rpm_per_kmh = motor_rpm_per_kmh(rw, gr)
     static_rr = m * g * f0
     regen_charging = bool(regen_enabled)
 
-    times = [float(x) for x in cycle.times_s]
-    speeds = [float(x) for x in cycle.speeds_kmh]
+    times = cycle._times
+    speeds = cycle._speeds
     n_knots = len(times)
     duration = times[-1]
     v_last = speeds[-1]
 
-    cycle_steps = None if repeat else _steps_for(duration, dt)
-    if max_time is not None:
-        time_steps = _steps_for(max_time, dt)
-    elif repeat or stop_at_soc is not None:
-        time_steps = _steps_for(config.sim.max_sim_time, dt)
-    else:
-        time_steps = None
-    limits = [s for s in (cycle_steps, time_steps) if s is not None]
-    step_limit = min(limits)
-    time_limited = time_steps is not None and time_steps <= step_limit
-
-    # Mutable run state.
-    t = 0.0
-    v = 0.0
-    dist = 0.0
-    integ = 0.0
-    soc = bat.initial_soc
-    vterm = vn
-    cum_out = 0.0
-    cum_regen = 0.0
+    t, v, dist, integ, soc, vterm, cum_out, cum_regen = start
+    saturated = False
 
     # Ledger accumulators [J] and tracking-error maximum.
     e_out = e_regen = e_resist = e_roll = e_aero = e_fric = e_drive = e_kin = 0.0
@@ -444,29 +428,27 @@ def run(
         c_pb, c_cur, c_volt, c_soc, c_rr, c_wr, c_a,
     ) = cols
 
-    # Forward-only cursor into the cycle; interpolation arithmetic must
-    # match cycle.target_speed exactly.
+    # Cycle cursor: placed by bisection at the start time, then forward
+    # only. The interpolation must match cycle.target_speed exactly.
     wraps = 0
-    cur_i = 0
-    tq = 0.0
-    if tq >= duration:
+    cur_i = bisect_right(times, t) - 1
+    if t >= duration:
         target = v_last
     else:
-        while cur_i + 1 < n_knots and times[cur_i + 1] <= tq:
-            cur_i += 1
         t0 = times[cur_i]
         t1 = times[cur_i + 1]
         v0 = speeds[cur_i]
-        target = v0 + (speeds[cur_i + 1] - v0) * ((tq - t0) / (t1 - t0))
+        target = v0 + (speeds[cur_i + 1] - v0) * ((t - t0) / (t1 - t0))
 
+    # ``while True`` on purpose: CPython 3.11 warms a function up for
+    # specialisation on a loop's unconditional backward jump, so a loop
+    # condition here leaves the kernel unspecialised for a process's first
+    # calls (each pool worker of a range comparison makes only one).
     k = 0
-    reason = None
     while True:
-        if stop_at_soc is not None and soc <= stop_at_soc:
-            reason = StopReason.SOC_FLOOR
-            break
         if k >= step_limit:
-            reason = StopReason.MAX_TIME if time_limited else StopReason.CYCLE_END
+            break
+        if stop_at_soc is not None and soc <= stop_at_soc:
             break
 
         # --- driver ---
@@ -573,8 +555,10 @@ def run(
         soc = soc - eta_c * current * dt / (3600.0 * capacity_ah)
         if soc > 1.0:
             soc = 1.0
+            saturated = True
         elif soc < 0.0:
             soc = 0.0
+            saturated = True
         vterm = vn - z * current
         e_term_kwh = vterm * current * dt / 3.6e6
         if current >= 0.0:
@@ -646,33 +630,9 @@ def run(
         v = v2
         k += 1
 
-    trace = SimTrace(*(np.asarray(col, dtype=np.float64) for col in cols))
-    cycle_max = max(speeds)
-    summary = SimSummary(
-        duration_s=t,
-        distance_km=dist,
-        soc_start=bat.initial_soc,
-        soc_end=soc,
-        max_tracking_error_kmh=max_err,
-        max_tracking_error_pct=(
-            100.0 * max_err / cycle_max if cycle_max > 0.0 else 0.0
-        ),
-        energy_out_kwh=cum_out,
-        energy_regen_kwh=cum_regen,
-        cycles_completed=int((t + dt * 1e-6) / duration) if duration > 0.0 else 0,
-        stop_reason=reason,
-    )
-    ledger = EnergyLedger(
-        battery_out=e_out / _J_PER_KWH,
-        battery_regen_in=e_regen / _J_PER_KWH,
-        kinetic_delta=e_kin / _J_PER_KWH,
-        rolling_loss=e_roll / _J_PER_KWH,
-        aero_loss=e_aero / _J_PER_KWH,
-        friction_brake_loss=e_fric / _J_PER_KWH,
-        drivetrain_loss=e_drive / _J_PER_KWH,
-        resistive_internal_loss=e_resist / _J_PER_KWH,
-    )
-    return trace, summary, ledger
+    end = _Carry(t, v, dist, integ, soc, vterm, cum_out, cum_regen)
+    ledger_j = (e_out, e_regen, e_kin, e_roll, e_aero, e_fric, e_drive, e_resist)
+    return end, cols, ledger_j, max_err, saturated
 
 
 def ledger_check(ledger: EnergyLedger) -> LedgerCheck:

@@ -379,43 +379,6 @@ def motor_rpm_per_kmh(wheel_radius: float, gear_ratio: float) -> float:
     return gear_ratio * (60.0 / math.tau) / (3.6 * wheel_radius)
 
 
-# SI conversion factors per field (multiply to convert declared unit -> SI).
-# Fields absent here are already SI or dimensionless.
-_SI_FACTORS = {
-    ("motor", "rated_power"): 1000.0,  # kW -> W
-    ("motor", "max_power"): 1000.0,
-    ("motor", "rated_speed"): math.tau / 60.0,  # rpm -> rad/s
-    ("motor", "max_speed"): math.tau / 60.0,
-    ("battery", "capacity_energy"): 3.6e6,  # kWh -> J
-    ("drivetrain", "regen_cutoff_speed"): 1.0 / 3.6,  # km/h -> m/s
-    ("driver", "kp"): 3.6,  # per km/h -> per m/s
-    ("driver", "ki"): 3.6,
-}
-
-
-def config_to_si(config: VehicleConfig) -> dict[str, float]:
-    """Flatten a config to SI units, keyed as 'section.field'."""
-    out: dict[str, float] = {}
-    for section, cls in _SECTIONS.items():
-        params = getattr(config, section)
-        for f in fields(cls):
-            factor = _SI_FACTORS.get((section, f.name), 1.0)
-            out[f"{section}.{f.name}"] = getattr(params, f.name) * factor
-    return out
-
-
-def config_from_si(values: dict[str, float]) -> VehicleConfig:
-    """Inverse of config_to_si; identity round-trip within 1e-9 relative."""
-    sections = {}
-    for section, cls in _SECTIONS.items():
-        kwargs = {}
-        for f in fields(cls):
-            factor = _SI_FACTORS.get((section, f.name), 1.0)
-            kwargs[f.name] = values[f"{section}.{f.name}"] / factor
-        sections[section] = cls(**kwargs)
-    return VehicleConfig(**sections)
-
-
 def with_overrides(config: VehicleConfig, **section_updates) -> VehicleConfig:
     """Return a copy with per-section field updates.
 

@@ -9,7 +9,6 @@ and delivers less electrical power than it absorbs when generating.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import DegenerateVoltageError, EnvelopeError
@@ -36,23 +35,6 @@ class BatteryState:
     cumulative_energy_out: float = 0.0
     cumulative_energy_regen: float = 0.0
     soc_saturated: bool = False
-
-
-@dataclass(frozen=True)
-class MotorOperatingPoint:
-    """One electrical/mechanical operating point of the motor.
-
-    Args:
-        shaft_torque_nm: Signed shaft torque [N*m]; negative = generating.
-        speed_rpm: Shaft speed [rpm], >= 0.
-        electrical_power_kw: Signed electrical power [kW]; negative = charging.
-        current_a: Signed battery current [A]; negative = charging.
-    """
-
-    shaft_torque_nm: float
-    speed_rpm: float
-    electrical_power_kw: float
-    current_a: float
 
 
 def available_torque(motor: MotorParams, speed_rpm: float) -> float:
@@ -117,16 +99,6 @@ def wheel_torque(
     if motor_torque_nm >= 0.0:
         return motor_torque_nm * gear_ratio * transmission_efficiency
     return motor_torque_nm * gear_ratio / transmission_efficiency
-
-
-def motor_speed_from_vehicle(
-    vehicle_speed_kmh: float, wheel_radius: float, gear_ratio: float
-) -> float:
-    """Motor shaft speed [rpm] for a vehicle speed [km/h]."""
-    if vehicle_speed_kmh < 0.0:
-        raise ValueError(f"vehicle speed must be >= 0 (got {vehicle_speed_kmh})")
-    wheel_rad_s = (vehicle_speed_kmh / 3.6) / wheel_radius
-    return wheel_rad_s * (60.0 / math.tau) * gear_ratio
 
 
 def battery_step(

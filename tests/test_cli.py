@@ -77,9 +77,9 @@ def test_emit_trace_empty_gives_header_only(tmp_path, config, udds):
 
 def test_emit_trace_decimation(tmp_path, config):
     cycle = synth_trapezoid(50.0, 10.0, 5.0)
-    trace, _, _ = run(config, cycle)
+    trace, _, _ = run(config, cycle, trace_every=10)
     path = tmp_path / "thin.csv"
-    emit_trace(trace, str(path), every=10)
+    emit_trace(trace, str(path))
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 1 + 25
 
@@ -182,15 +182,6 @@ def test_range_compare_regen_reports_gain(small_config_path, capsys):
     assert on["distance_km"] > off["distance_km"]
     assert payload["gain_percent"] > 0.0
     assert payload["reference_gain_percents"] == [23.0, 25.0, 25.5]
-
-
-def test_compare_regen_subcommand(small_config_path, capsys):
-    code = main(
-        ["compare-regen", "--config", small_config_path, "--until-soc", "0.6"]
-    )
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert "regen_on" in payload["reports"]
 
 
 def test_range_single_leg_with_outputs(tmp_path, small_config_path, capsys):
@@ -301,7 +292,7 @@ def test_every_subcommand_documents_every_flag():
     subparsers = parser._subparsers._group_actions[0].choices
     assert set(subparsers) == {
         "simulate", "range", "accel", "topspeed",
-        "compare-regen", "size-motor", "defaults", "validate",
+        "size-motor", "defaults", "validate",
     }
     for name, sub in subparsers.items():
         help_text = sub.format_help()

@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevsim import DriverState, pi_step, split_command
-from bevsim.driver import motor_speed_for
-from bevsim.params import DriverParams, with_overrides
+from bevsim.params import DriverParams, motor_rpm_per_kmh, with_overrides
 
 GAINS = DriverParams(kp=0.4, ki=0.1)
 
@@ -105,7 +104,7 @@ def test_half_throttle_in_power_region(config):
 
 
 def test_full_braking_at_50_kmh_saturates_regen_and_friction(config):
-    rpm = motor_speed_for(config, 50.0)
+    rpm = _rpm(config, 50.0)
     assert rpm == pytest.approx(2242.0, abs=1.0)
     req = split_command(-1.0, rpm, 50.0, config)
     assert req.propulsion_torque_nm == 0.0
@@ -115,14 +114,14 @@ def test_full_braking_at_50_kmh_saturates_regen_and_friction(config):
 
 def test_braking_below_cutoff_uses_friction_only(config):
     cfg = with_overrides(config, drivetrain={"regen_cutoff_speed": 5.0})
-    rpm = motor_speed_for(cfg, 3.0)
+    rpm = _rpm(cfg, 3.0)
     req = split_command(-0.5, rpm, 3.0, cfg)
     assert req.regen_torque_nm == 0.0
     assert req.friction_force_n == pytest.approx(0.5 * 800.0, rel=1e-12)
 
 
 def test_gentle_braking_is_regen_only(config):
-    rpm = motor_speed_for(config, 50.0)
+    rpm = _rpm(config, 50.0)
     req = split_command(-0.2, rpm, 50.0, config)
     assert req.friction_force_n == 0.0
     assert req.regen_torque_nm > 0.0
@@ -143,7 +142,7 @@ def test_no_torque_beyond_motor_speed_ceiling(config):
 @settings(max_examples=200)
 def test_sign_coherence(command, speed):
     config = _config()
-    rpm = motor_speed_for(config, speed)
+    rpm = _rpm(config, speed)
     req = split_command(command, rpm, speed, config)
     if command > 0.0:
         assert req.friction_force_n == 0.0 and req.regen_torque_nm == 0.0
@@ -155,23 +154,13 @@ def test_sign_coherence(command, speed):
         assert req.friction_force_n == 0.0
 
 
-@given(st.floats(-1.0, -0.0001), st.floats(0.0, 120.0))
-@settings(max_examples=200)
-def test_no_regen_flag_suppresses_regen(command, speed):
-    config = _config()
-    rpm = motor_speed_for(config, speed)
-    req = split_command(command, rpm, speed, config, allow_regen=False)
-    assert req.regen_torque_nm == 0.0
-    assert req.friction_force_n <= config.drivetrain.max_friction_brake_force
-
-
 @given(st.floats(-1.0, -0.0001), st.floats(0.0, 180.0))
 @settings(max_examples=200)
 def test_braking_respects_actuator_limits(command, speed):
     from bevsim import available_torque
 
     config = _config()
-    rpm = motor_speed_for(config, speed)
+    rpm = _rpm(config, speed)
     req = split_command(command, rpm, speed, config)
     limit = (
         available_torque(config.motor, rpm)
@@ -186,3 +175,9 @@ def _config():
     from bevsim import default_config
 
     return default_config()
+
+
+def _rpm(config, speed_kmh):
+    """Motor shaft speed [rpm] at a vehicle speed [km/h]."""
+    factor = motor_rpm_per_kmh(config.body.wheel_radius, config.drivetrain.gear_ratio)
+    return factor * speed_kmh

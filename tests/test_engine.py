@@ -3,8 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from step_reference import reference_step
+
 from bevsim import (
     DegenerateVoltageError,
+    DriveCycle,
+    EnvelopeError,
     StopReason,
     initial_state,
     ledger_check,
@@ -12,8 +16,11 @@ from bevsim import (
     step,
     synth_trapezoid,
 )
+from bevsim.driver import DriverState
+from bevsim.dynamics import BodyState
 from bevsim.engine import TRACE_FIELDS
 from bevsim.params import with_overrides
+from bevsim.powertrain import BatteryState
 
 
 def test_all_zero_cycle_is_a_fixed_point(config):
@@ -55,47 +62,77 @@ def test_sub_threshold_command_does_not_creep(config):
     assert rec.accel_ms2 == 0.0
 
 
-def test_run_matches_iterated_step_bit_for_bit(config, udds):
-    # Two routes through the same physics: step() composes the component
-    # operations, run() is the inlined loop. They must agree exactly.
-    scenarios = [
-        dict(regen_enabled=True, pinned_command=None),
-        dict(regen_enabled=False, pinned_command=None),
-        dict(regen_enabled=True, pinned_command=1.0),
-    ]
-    import numpy as np
+def _bits(obj, name="") -> dict:
+    """Every leaf of a SimState or TraceRecord by name, floats as hex."""
+    if isinstance(obj, tuple):
+        items = obj._asdict().items()
+    elif dataclasses.is_dataclass(obj):
+        items = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    else:
+        return {name: obj.hex() if isinstance(obj, float) else obj}
+    out = {}
+    for key, value in items:
+        out.update(_bits(value, f"{name}.{key}" if name else key))
+    return out
 
-    from bevsim import DriveCycle
 
+def _step_matches_reference(config, cycle, n, state=None, **options):
+    """Iterate step() and the reference step side by side from ``state``
+    (default: at rest); every record and state must agree bit for bit.
+    Returns the reference records and final state."""
+    ref = mine = state if state is not None else initial_state(config)
+    records = []
+    for i in range(n):
+        ref, want = reference_step(ref, cycle, config, **options)
+        mine, got = step(mine, cycle, config, **options)
+        assert _bits(got) == _bits(want), f"record diverges at step {i}"
+        assert _bits(mine) == _bits(ref), f"state diverges at step {i}"
+        records.append(want)
+    return records, ref
+
+
+def _run_and_step_match_reference(config, cycle, n, **options):
+    """run() for n steps from rest and iterated step() both equal the
+    reference on every record; run()'s summary equals its final state."""
+    records, ref = _step_matches_reference(config, cycle, n, **options)
+    trace, summary, _ = run(config, cycle, max_time=n * config.sim.dt, **options)
+    assert len(trace) == n
+    for i, want in enumerate(records):
+        assert _bits(trace.record(i)) == _bits(want), f"run() diverges at step {i}"
+    got = (
+        summary.duration_s, summary.distance_km, summary.soc_end,
+        summary.energy_out_kwh, summary.energy_regen_kwh,
+    )
+    want = (
+        ref.t_s, ref.body.distance_km, ref.battery.soc,
+        ref.battery.cumulative_energy_out, ref.battery.cumulative_energy_regen,
+    )
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    return trace
+
+
+def test_run_matches_iterated_step_bit_for_bit(config):
+    # Three routes through the same physics: run() and step() share the
+    # engine kernel, the reference composes the component operations.
     cycle = DriveCycle(
         "mixed",
         np.array([0.0, 12.0, 18.0, 24.0, 40.0, 50.0, 55.0, 70.0]),
         np.array([0.0, 70.0, 70.0, 0.0, 0.0, 45.0, 45.0, 0.0]),
     )
     n = 400  # covers launch, cruise, braking, stop clamp, standstill, relaunch
-    for options in scenarios:
-        trace, _, _ = run(config, cycle, max_time=n * config.sim.dt, **options)
-        assert len(trace) == n
-        state = initial_state(config)
-        for i in range(n):
-            state, rec = step(state, cycle, config, **options)
-            got = trace.record(i)
-            for field in TRACE_FIELDS:
-                assert getattr(got, field) == getattr(rec, field), (
-                    f"{field} diverges at step {i} under {options}"
-                )
+    for options in (
+        dict(regen_enabled=True, pinned_command=None),
+        dict(regen_enabled=False, pinned_command=None),
+        dict(regen_enabled=True, pinned_command=1.0),
+    ):
+        _run_and_step_match_reference(config, cycle, n, **options)
 
 
 def test_run_matches_step_through_stop_clamp_rescaling(config):
     # A coarse step, light car, and low cutoff make braking overshoot zero
     # while regen is still active, forcing the clamp to rescale the regen
     # torque; the PI is deliberately unstable at this step so the profile
-    # thrashes between launch and clamp. Both routes must still agree.
-    import numpy as np
-
-    from bevsim import DriveCycle
-    from bevsim.params import with_overrides
-
+    # thrashes between launch and clamp. All routes must still agree.
     cfg = with_overrides(
         config,
         sim={"dt": 0.5},
@@ -108,18 +145,12 @@ def test_run_matches_step_through_stop_clamp_rescaling(config):
         np.array([0.0, 8.0, 8.5, 20.0, 28.0, 28.5, 40.0]),
         np.array([0.0, 35.0, 0.0, 0.0, 30.0, 0.0, 0.0]),
     )
-    trace, _, _ = run(cfg, cycle, max_time=40.0)
+    trace = _run_and_step_match_reference(cfg, cycle, 80)
     v_prev = np.concatenate(([0.0], trace.v_kmh[:-1]))
     rescaled = (
         (trace.v_kmh == 0.0) & (v_prev > 0.0) & (trace.motor_nm < 0.0)
     )
     assert rescaled.sum() > 0  # the regen-rescale branch actually ran
-    state = initial_state(cfg)
-    for i in range(len(trace)):
-        state, rec = step(state, cycle, cfg)
-        got = trace.record(i)
-        for field in TRACE_FIELDS:
-            assert getattr(got, field) == getattr(rec, field), (i, field)
 
 
 def test_stop_clamp_sheds_friction_before_regen(config):
@@ -158,14 +189,54 @@ def test_stop_clamp_sheds_friction_before_regen(config):
 
 
 def test_udds_prefix_matches_iterated_step(config, udds):
-    n = 600
-    trace, _, _ = run(config, udds, max_time=n * config.sim.dt)
-    state = initial_state(config)
-    for i in range(n):
-        state, rec = step(state, udds, config)
-        got = trace.record(i)
-        for field in TRACE_FIELDS:
-            assert getattr(got, field) == getattr(rec, field)
+    _run_and_step_match_reference(config, udds, 600)
+
+
+def test_step_past_cycle_end_holds_last_target(config):
+    cycle = DriveCycle("ramp", np.array([0.0, 10.0]), np.array([0.0, 50.0]))
+    records, state = _step_matches_reference(config, cycle, 250)
+    past_end = [r for r in records if r.t_s >= 10.0]
+    assert len(past_end) > 100
+    assert all(r.v_target_kmh == 50.0 for r in past_end)
+    assert state.body.speed_kmh == pytest.approx(50.0, abs=1.0)
+
+
+def test_step_from_client_replaced_mid_cycle_state(config, udds):
+    # A co-simulation client may hand step() any state: here mid-interval
+    # on a UDDS braking segment with a full battery, so regen clamps the
+    # SoC at 1 and the saturation flag must be reported.
+    state = dataclasses.replace(
+        initial_state(config),
+        t_s=106.05,
+        body=BodyState(speed_kmh=48.0, distance_km=0.6),
+        battery=BatteryState(soc=1.0, terminal_voltage=351.0),
+        driver=DriverState(integral=-3.0, last_command=-0.2),
+    )
+    _, final = _step_matches_reference(config, udds, 300, state=state)
+    assert final.battery.soc_saturated
+    assert final.t_s == pytest.approx(136.05, abs=1e-9)
+
+
+@pytest.mark.parametrize("route", [step, reference_step])
+@pytest.mark.parametrize(
+    "change, dt, error",
+    [
+        (dict(t_s=-0.1), 0.1, ValueError),
+        ({}, 0.0, ValueError),
+        (dict(body=BodyState(speed_kmh=-1.0)), 0.1, EnvelopeError),
+        (
+            dict(battery=BatteryState(soc=0.9, terminal_voltage=0.5)),
+            0.1,
+            DegenerateVoltageError,
+        ),
+    ],
+    ids=["negative-time", "zero-dt", "negative-speed", "collapsed-voltage"],
+)
+def test_step_rejects_invalid_client_state(config, udds, route, change, dt, error):
+    cfg = with_overrides(config, sim={"dt": dt})
+    state = dataclasses.replace(initial_state(cfg), **change)
+    with pytest.raises(error):
+        route(state, udds, cfg)
 
 
 def test_runs_are_deterministic(config, udds):

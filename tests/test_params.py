@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 
@@ -12,11 +11,7 @@ from bevsim import (
     serialize_config,
     validate,
 )
-from bevsim.params import (
-    config_from_si,
-    config_to_si,
-    with_overrides,
-)
+from bevsim.params import with_overrides
 
 
 def test_defaults_carry_published_vehicle_values(config):
@@ -140,29 +135,6 @@ def test_serialize_round_trip(config):
 def test_serialize_round_trip_preserves_values(config, updates):
     cfg = with_overrides(config, **updates)
     assert parse_config(serialize_config(cfg)) == cfg
-
-
-def test_si_round_trip_is_identity(config):
-    si = config_to_si(config)
-    back = config_from_si(si)
-    for section in ("body", "motor", "battery", "drivetrain", "driver", "sim"):
-        orig = getattr(config, section)
-        new = getattr(back, section)
-        for name in vars(orig):
-            a = getattr(orig, name)
-            b = getattr(new, name)
-            assert b == pytest.approx(a, rel=1e-9)
-
-
-def test_si_units_convert_as_declared(config):
-    si = config_to_si(config)
-    assert si["battery.capacity_energy"] == pytest.approx(216.0 * 3.6e6)
-    assert si["motor.max_power"] == pytest.approx(75000.0)
-    assert si["motor.max_speed"] == pytest.approx(8000.0 * math.tau / 60.0)
-    assert si["drivetrain.regen_cutoff_speed"] == pytest.approx(
-        config.drivetrain.regen_cutoff_speed / 3.6
-    )
-    assert si["body.mass"] == 1549.0
 
 
 def test_derived_battery_capacity(config):

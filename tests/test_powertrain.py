@@ -8,9 +8,9 @@ from bevsim import (
     battery_step,
     motor_current,
     motor_electrical_power,
-    motor_speed_from_vehicle,
     wheel_torque,
 )
+from bevsim.params import motor_rpm_per_kmh
 from bevsim.powertrain import BatteryState, initial_battery_state
 
 
@@ -101,15 +101,12 @@ def test_wheel_torque_generation_amplifies_magnitude():
 
 
 def test_motor_speed_from_vehicle():
-    rpm = motor_speed_from_vehicle(100.0, 0.284, 4.8)
+    rpm = motor_rpm_per_kmh(0.284, 4.8) * 100.0
     assert rpm == pytest.approx((100.0 / 3.6) / 0.284 * 60.0 / (2 * np.pi) * 4.8)
     assert rpm == pytest.approx(4483.6, rel=1e-3)
-    assert motor_speed_from_vehicle(0.0, 0.284, 4.8) == 0.0
-    assert motor_speed_from_vehicle(180.0, 0.284, 4.8) == pytest.approx(
+    assert motor_rpm_per_kmh(0.284, 4.8) * 180.0 == pytest.approx(
         8070.5, rel=1e-3
     )
-    with pytest.raises(ValueError):
-        motor_speed_from_vehicle(-1.0, 0.284, 4.8)
 
 
 def test_battery_idle_step_is_identity(config):
