@@ -189,7 +189,7 @@ def _load_config(args) -> VehicleConfig:
         violations = validate(config)
         if violations:
             raise ConfigError(
-                "invalid configuration after overrides:\n  " + "\n  ".join(violations)
+                "invalid configuration after overrides: " + "; ".join(violations)
             )
     return config
 

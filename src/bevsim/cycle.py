@@ -46,6 +46,8 @@ class DriveCycle:
             raise CycleError("times and speeds must be 1-D arrays of equal length")
         if len(t) < 2:
             raise CycleError("a cycle needs at least 2 samples")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise CycleError("sample times and speeds must be finite")
         if t[0] != 0.0:
             raise CycleError(f"cycle must start at t = 0 (got {t[0]})")
         if not np.all(np.diff(t) > 0.0):
@@ -133,7 +135,9 @@ def target_speed(cycle: DriveCycle, t: float) -> float:
     """Target speed at time t [km/h]: linear between samples, last value held.
 
     The interpolation expression must stay identical to the cycle cursor in
-    engine._advance (bit-for-bit), so keep any change in sync with it.
+    engine._advance (bit-for-bit), so keep any change in sync with it. The
+    kernel caches the current segment (t0, v0, v1 - v0, t1 - t0) between
+    steps but evaluates this same expression.
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0 (got {t})")
@@ -153,14 +157,16 @@ def cycle_stats(cycle: DriveCycle) -> CycleStats:
     """Trapezoidal distance and speed aggregates."""
     t = cycle.times_s
     v = cycle.speeds_kmh
-    # km/h * s -> km needs /3600
-    distance = float(np.sum((v[1:] + v[:-1]) * 0.5 * np.diff(t))) / 3600.0
+    area = float(np.sum((v[1:] + v[:-1]) * 0.5 * np.diff(t)))  # km/h * s
     duration = float(t[-1])
+    max_speed = float(np.max(v))
     return CycleStats(
         duration_s=duration,
-        distance_km=distance,
-        max_speed_kmh=float(np.max(v)),
-        mean_speed_kmh=distance / duration * 3600.0,
+        distance_km=area / 3600.0,
+        max_speed_kmh=max_speed,
+        # Rounding in the gaps and the sum can put area / duration an ulp
+        # above the peak (a constant 7 km/h often gives 7.000000000000001).
+        mean_speed_kmh=min(area / duration, max_speed),
     )
 
 

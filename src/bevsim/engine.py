@@ -32,6 +32,13 @@ for a single step from a client-held ``SimState``. The test suite keeps the
 composition of the component operations as a reference and checks both
 entry points against it bit for bit. Runs are deterministic: identical
 config, cycle, and options produce bit-identical traces.
+
+Editing the kernel: every double it produces must stay bit for bit what
+the reference computes. A step may hoist a loop-invariant product only
+when it is the left-operand prefix of a left-to-right expression (``m * g``
+in ``m * g * (...)``), and may reuse a value only where the identical
+subexpression appears again. Never reassociate, reorder or fuse a
+floating-point operation.
 """
 
 from __future__ import annotations
@@ -284,19 +291,24 @@ def run(
 
     Stop priority: soc floor, then max time, then cycle end. With
     ``repeat=True`` the cycle wraps around until the soc floor or time
-    limit; open-ended runs default their time limit to sim.max_sim_time.
+    limit. Without ``max_time``, sim.max_sim_time bounds every run: a
+    repeated or soc-floor run, and a single pass whose cycle is longer.
     ``trace_every`` keeps every Nth record (0 disables collection; the
     ledger and summary always run at full rate).
 
     Raises:
         ConfigError: If the config fails validation.
+        ValueError: If ``trace_every`` is negative or ``max_time`` is not
+            finite.
         DegenerateVoltageError: If the terminal voltage collapses mid-run.
     """
     violations = validate(config)
     if violations:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations))
+        raise ConfigError("invalid configuration: " + "; ".join(violations))
     if trace_every < 0:
         raise ValueError(f"trace_every must be >= 0 (got {trace_every})")
+    if max_time is not None and not math.isfinite(max_time):
+        raise ValueError(f"max_time must be finite (got {max_time})")
 
     bat = config.battery
     dt = config.sim.dt
@@ -308,7 +320,9 @@ def run(
     elif repeat or stop_at_soc is not None:
         time_steps = _steps_for(config.sim.max_sim_time, dt)
     else:
-        time_steps = None
+        # A single pass that fits the budget still ends at its cycle end.
+        budget = _steps_for(config.sim.max_sim_time, dt)
+        time_steps = budget if budget < cycle_steps else None
     limits = [s for s in (cycle_steps, time_steps) if s is not None]
     step_limit = min(limits)
     time_limited = time_steps is not None and time_steps <= step_limit
@@ -405,12 +419,17 @@ def _advance(
     eta_c = bat.coulombic_efficiency
     capacity_ah = 1000.0 * bat.capacity_energy / vn
     rpm_per_kmh = motor_rpm_per_kmh(rw, gr)
-    static_rr = m * g * f0
+    # Left-operand prefixes of the per-step expressions below.
+    mg = m * g
+    cd_af = cd * af
+    kw_rpm = RPM_KW_CONSTANT * p_max
+    charge_as = 3600.0 * capacity_ah
+    half_m = 0.5 * m
+    static_rr = mg * f0
     regen_charging = bool(regen_enabled)
 
     times = cycle._times
     speeds = cycle._speeds
-    n_knots = len(times)
     duration = times[-1]
     v_last = speeds[-1]
 
@@ -429,7 +448,9 @@ def _advance(
     ) = cols
 
     # Cycle cursor: placed by bisection at the start time, then forward
-    # only. The interpolation must match cycle.target_speed exactly.
+    # only. It caches its segment (t0, t1, v0, rise, span) and reloads it when
+    # the query time reaches t1 or the cycle wraps; the interpolation must
+    # match cycle.target_speed exactly.
     wraps = 0
     cur_i = bisect_right(times, t) - 1
     if t >= duration:
@@ -438,7 +459,9 @@ def _advance(
         t0 = times[cur_i]
         t1 = times[cur_i + 1]
         v0 = speeds[cur_i]
-        target = v0 + (speeds[cur_i + 1] - v0) * ((t - t0) / (t1 - t0))
+        rise = speeds[cur_i + 1] - v0
+        span = t1 - t0
+        target = v0 + rise * ((t - t0) / span)
 
     # ``while True`` on purpose: CPython 3.11 warms a function up for
     # specialisation on a loop's unconditional backward jump, so a loop
@@ -477,7 +500,8 @@ def _advance(
         elif rpm == 0.0:
             avail = tau_max
         else:
-            avail = min(tau_max, RPM_KW_CONSTANT * p_max / rpm)
+            q = kw_rpm / rpm
+            avail = q if q < tau_max else tau_max
         if cmd >= 0.0:
             tau_p = cmd * avail
             tau_r = 0.0
@@ -499,13 +523,14 @@ def _advance(
         f_p = tau_p * gr * eta_t / rw
 
         # --- road loads, acceleration, integration ---
+        v_ms = v / 3.6
         if v > 0.0:
             x = v / 100.0
-            rr = m * g * (f0 + f1 * x + f4 * x**4)
-            wr = cd * af * v * v / 21.15
+            rr = mg * (f0 + f1 * x + f4 * x**4)
+            wr = cd_af * v * v / 21.15
             a = (f_p - f_regen - f_fric - rr - wr) / m
-            if v + a * dt * 3.6 < 0.0:
-                v_ms = v / 3.6
+            v2 = v + a * dt * 3.6
+            if v2 < 0.0:
                 brake_needed = m * v_ms / dt - rr - wr
                 if brake_needed <= 0.0:
                     f_regen = 0.0
@@ -518,6 +543,7 @@ def _advance(
                 else:
                     f_fric = brake_needed - f_regen
                 a = -v_ms / dt
+                v2 = v + a * dt * 3.6
         else:
             rr = 0.0
             wr = 0.0
@@ -529,10 +555,11 @@ def _advance(
             else:
                 f_p = 0.0
                 a = 0.0
-        v2 = v + a * dt * 3.6
+            v2 = v + a * dt * 3.6
         if v2 < 0.0:
             v2 = 0.0
-        dist = dist + (v2 / 3.6) * dt / 1000.0
+        v2_ms = v2 / 3.6
+        dist = dist + v2_ms * dt / 1000.0
 
         # --- electrical and battery ---
         if tau_p > 0.0:
@@ -552,7 +579,7 @@ def _advance(
                 f"terminal voltage {vterm:.3f} V below 1 V floor at t = {t:.1f} s"
             )
         current = 1000.0 * p_batt / vterm + 0.0
-        soc = soc - eta_c * current * dt / (3600.0 * capacity_ah)
+        soc = soc - eta_c * current * dt / charge_as
         if soc > 1.0:
             soc = 1.0
             saturated = True
@@ -560,17 +587,15 @@ def _advance(
             soc = 0.0
             saturated = True
         vterm = vn - z * current
-        e_term_kwh = vterm * current * dt / 3.6e6
+        e_term_j = vterm * current * dt
+        e_term_kwh = e_term_j / 3.6e6
         if current >= 0.0:
             cum_out += e_term_kwh
         else:
             cum_regen += -e_term_kwh
 
         # --- ledger (storage-side battery energy; midpoint displacement) ---
-        v_ms = v / 3.6
-        v2_ms = v2 / 3.6
         s_mid = (v_ms + v2_ms) * 0.5 * dt
-        e_term_j = vterm * current * dt
         if current > 0.0:
             e_out += vn * current * dt
         elif current < 0.0:
@@ -582,7 +607,7 @@ def _advance(
         e_roll += rr * s_mid
         e_aero += wr * s_mid
         e_fric += f_fric * s_mid
-        e_kin += 0.5 * m * (v2_ms * v2_ms - v_ms * v_ms)
+        e_kin += half_m * (v2_ms * v2_ms - v_ms * v_ms)
 
         # --- advance time, look up next target, record ---
         t = t + dt
@@ -591,18 +616,22 @@ def _advance(
             while tq >= duration and duration > 0.0:
                 wraps += 1
                 cur_i = 0
+                t1 = 0.0  # reload the segment from the first knot
                 tq = t - wraps * duration
         else:
             tq = t
         if tq >= duration:
             target = v_last
         else:
-            while cur_i + 1 < n_knots and times[cur_i + 1] <= tq:
-                cur_i += 1
-            t0 = times[cur_i]
-            t1 = times[cur_i + 1]
-            v0 = speeds[cur_i]
-            target = v0 + (speeds[cur_i + 1] - v0) * ((tq - t0) / (t1 - t0))
+            if tq >= t1:
+                while times[cur_i + 1] <= tq:
+                    cur_i += 1
+                t0 = times[cur_i]
+                t1 = times[cur_i + 1]
+                v0 = speeds[cur_i]
+                rise = speeds[cur_i + 1] - v0
+                span = t1 - t0
+            target = v0 + rise * ((tq - t0) / span)
 
         err = target - v2
         if err < 0.0:

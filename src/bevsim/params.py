@@ -146,7 +146,8 @@ class SimParams:
 
     Args:
         dt: Integration step [s], in (0, 1].
-        max_sim_time: Hard stop for open-ended (repeated-cycle) runs [s].
+        max_sim_time: Hard stop for every run [s]: repeated-cycle and
+            SoC-floor runs, and a single pass whose cycle is longer.
     """
 
     dt: float = 0.1
@@ -242,9 +243,7 @@ def parse_config(text: str) -> VehicleConfig:
     config = VehicleConfig(**sections)
     violations = validate(config)
     if violations:
-        raise ConfigError(
-            "invalid configuration:\n  " + "\n  ".join(violations)
-        )
+        raise ConfigError("invalid configuration: " + "; ".join(violations))
     return config
 
 
@@ -256,6 +255,12 @@ def serialize_config(config: VehicleConfig) -> str:
 def validate(config: VehicleConfig) -> list[str]:
     """Check every invariant; return all violations (empty list = valid)."""
     v: list[str] = []
+    for section in _SECTIONS:
+        params = getattr(config, section)
+        for f in fields(params):
+            value = getattr(params, f.name)
+            if not math.isfinite(value):
+                v.append(f"{section}.{f.name}: must be finite (got {value})")
     b = config.body
     _positive(v, "body.mass", b.mass)
     _positive(v, "body.wheel_radius", b.wheel_radius)

@@ -4,6 +4,9 @@ operations of ``cycle``, ``driver``, ``dynamics`` and ``powertrain``.
 The engine inlines this arithmetic into one kernel for speed; tests compare
 both ``engine.run`` and ``engine.step`` against this composition bit for
 bit, so a change to the engine's physics must be made here as well.
+``reference_run`` iterates the reference step and accumulates the energy
+ledger and the tracking error the way the kernel does, so ``run``'s summary
+and ledger can be checked bit for bit too.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ from bevsim.dynamics import (
     integrate,
     rolling_resistance,
 )
-from bevsim.engine import SimState, TraceRecord
+from bevsim.engine import (
+    EnergyLedger,
+    SimState,
+    SimSummary,
+    StopReason,
+    TraceRecord,
+    initial_state,
+)
 from bevsim.params import VehicleConfig
 from bevsim.powertrain import battery_step, motor_current, motor_electrical_power
 
@@ -38,6 +48,12 @@ def reference_step(
     command acts on) together with the torques and forces applied during
     the step.
     """
+    return _reference_step(state, cycle, config, regen_enabled, pinned_command)[:2]
+
+
+def _reference_step(state, cycle, config, regen_enabled, pinned_command):
+    """``reference_step`` that also returns the applied wheel propulsion and
+    regen forces [N], which the ledger needs and the record does not hold."""
     body = config.body
     d = config.drivetrain
     dt = config.sim.dt
@@ -150,4 +166,77 @@ def reference_step(
         battery=new_battery,
         driver=driver_state,
     )
-    return new_state, record
+    return new_state, record, f_p, f_regen
+
+
+def reference_run(
+    config: VehicleConfig,
+    cycle: DriveCycle,
+    n: int,
+    regen_enabled: bool = True,
+    pinned_command: float | None = None,
+) -> tuple[list[TraceRecord], SimSummary, EnergyLedger]:
+    """Iterate ``reference_step`` n times from rest; returns the records and
+    the summary and ledger of a single-pass run stopped by ``max_time``.
+
+    The ledger buckets [J] and the tracking-error maximum accumulate with
+    the kernel's documented expressions in their written order (storage-side
+    battery energy, midpoint displacement); the kernel may hoist or share
+    subexpressions but must produce these doubles.
+    """
+    bat = config.battery
+    dt = config.sim.dt
+    m = config.body.mass
+    vn = bat.nominal_voltage
+    z = bat.internal_resistance
+    e_out = e_regen = e_resist = e_roll = e_aero = e_fric = e_drive = e_kin = 0.0
+    max_err = 0.0
+    state = initial_state(config)
+    records = []
+    for _ in range(n):
+        v = state.body.speed_kmh
+        state, rec, f_p, f_regen = _reference_step(
+            state, cycle, config, regen_enabled, pinned_command
+        )
+        records.append(rec)
+        v2 = rec.v_kmh
+        current = rec.current_a
+        v_ms = v / 3.6
+        v2_ms = v2 / 3.6
+        s_mid = (v_ms + v2_ms) * 0.5 * dt
+        e_term_j = rec.volt_v * current * dt
+        if current > 0.0:
+            e_out += vn * current * dt
+        elif current < 0.0:
+            e_regen += -vn * current * dt
+        e_drive += e_term_j - (f_p - f_regen) * s_mid
+        e_resist += z * current * current * dt
+        e_roll += rec.rr_n * s_mid
+        e_aero += rec.wr_n * s_mid
+        e_fric += rec.fric_n * s_mid
+        e_kin += 0.5 * m * (v2_ms * v2_ms - v_ms * v_ms)
+        err = rec.v_target_kmh - v2
+        if err < 0.0:
+            err = -err
+        if err > max_err:
+            max_err = err
+
+    t = state.t_s
+    cycle_max = max(cycle._speeds)
+    summary = SimSummary(
+        duration_s=t,
+        distance_km=state.body.distance_km,
+        soc_start=bat.initial_soc,
+        soc_end=state.battery.soc,
+        max_tracking_error_kmh=max_err,
+        max_tracking_error_pct=(
+            100.0 * max_err / cycle_max if cycle_max > 0.0 else 0.0
+        ),
+        energy_out_kwh=state.battery.cumulative_energy_out,
+        energy_regen_kwh=state.battery.cumulative_energy_regen,
+        cycles_completed=int((t + dt * 1e-6) / cycle.duration_s),
+        stop_reason=StopReason.MAX_TIME,
+    )
+    ledger_j = (e_out, e_regen, e_kin, e_roll, e_aero, e_fric, e_drive, e_resist)
+    ledger = EnergyLedger(*(e / 3.6e6 for e in ledger_j))
+    return records, summary, ledger

@@ -161,6 +161,47 @@ def test_validate_rejects_invalid_config(tmp_path, capsys):
     assert "mass" in capsys.readouterr().err
 
 
+def _assert_one_line_error(capsys, code, expected):
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert expected in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "subcommand, doc, expected",
+    [
+        ("simulate", '{"body": {"mass": Infinity}}', "body.mass: must be finite"),
+        ("range", '{"sim": {"max_sim_time": Infinity}}', "sim.max_sim_time"),
+        ("validate", '{"battery": {"initial_soc": NaN}}', "battery.initial_soc"),
+    ],
+)
+def test_non_finite_config_exits_one(tmp_path, capsys, subcommand, doc, expected):
+    path = tmp_path / "vehicle.json"
+    path.write_text(doc)
+    code = main([subcommand, "--config", str(path)])
+    _assert_one_line_error(capsys, code, expected)
+
+
+def test_non_finite_override_exits_one(short_cycle_path, capsys):
+    code = main(["simulate", "--cycle", short_cycle_path, "--regen-eff", "nan"])
+    _assert_one_line_error(capsys, code, "drivetrain.regen_efficiency")
+
+
+def test_single_pass_longer_than_max_sim_time_stops(tmp_path, capsys):
+    cycle = tmp_path / "endless.csv"
+    cycle.write_text("t_s,v_kmh\n0,0\n1e300,5\n")
+    config = tmp_path / "vehicle.json"
+    config.write_text('{"sim": {"max_sim_time": 5}}')
+    code = main(["simulate", "--config", str(config), "--cycle", str(cycle)])
+    assert code == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["stop_reason"] == "max_time"
+    assert summary["duration_s"] == pytest.approx(5.0, abs=1e-9)
+
+
 def test_validate_requires_config(capsys):
     assert main(["validate"]) == 1
 

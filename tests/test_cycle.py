@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,16 @@ def test_parse_rejects_single_sample():
         parse_cycle("t_s,v_kmh\n0,0")
 
 
+@pytest.mark.parametrize(
+    "times, speeds",
+    [([0.0, 1.0], [0.0, math.nan]), ([0.0, math.inf], [0.0, 5.0])],
+    ids=["nan-speed", "inf-time"],
+)
+def test_cycle_rejects_non_finite_knots(times, speeds):
+    with pytest.raises(CycleError, match="finite"):
+        DriveCycle("x", np.array(times), np.array(speeds))
+
+
 def test_bundled_udds_aggregates(udds):
     stats = cycle_stats(udds)
     assert stats.duration_s == 1369.0
@@ -106,6 +118,15 @@ def test_trapezoid_distance():
 def test_zero_cycle_distance():
     c = synth_trapezoid(0.0, 10.0, 10.0)
     assert cycle_stats(c).distance_km == 0.0
+
+
+@pytest.mark.parametrize(
+    "times", [[0.0, 22.3125], [0.0, 56.924695443473, 137.15317890967967]]
+)
+def test_constant_cycle_mean_is_its_speed(times):
+    # Both once gave a mean of 7.000000000000001 km/h, above the peak.
+    c = DriveCycle("flat", np.array(times), np.full(len(times), 7.0))
+    assert cycle_stats(c).mean_speed_kmh == 7.0
 
 
 def test_repeat_udds_duration(udds):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from step_reference import reference_step
+from step_reference import reference_run, reference_step
 
 from bevsim import (
     DegenerateVoltageError,
@@ -16,6 +16,7 @@ from bevsim import (
     step,
     synth_trapezoid,
 )
+from bevsim.cycle import target_speed
 from bevsim.driver import DriverState
 from bevsim.dynamics import BodyState
 from bevsim.engine import TRACE_FIELDS
@@ -93,21 +94,16 @@ def _step_matches_reference(config, cycle, n, state=None, **options):
 
 def _run_and_step_match_reference(config, cycle, n, **options):
     """run() for n steps from rest and iterated step() both equal the
-    reference on every record; run()'s summary equals its final state."""
-    records, ref = _step_matches_reference(config, cycle, n, **options)
-    trace, summary, _ = run(config, cycle, max_time=n * config.sim.dt, **options)
+    reference on every record; run()'s summary and ledger equal the
+    reference run's, floats compared as hex."""
+    _step_matches_reference(config, cycle, n, **options)
+    records, want_summary, want_ledger = reference_run(config, cycle, n, **options)
+    trace, summary, ledger = run(config, cycle, max_time=n * config.sim.dt, **options)
     assert len(trace) == n
     for i, want in enumerate(records):
         assert _bits(trace.record(i)) == _bits(want), f"run() diverges at step {i}"
-    got = (
-        summary.duration_s, summary.distance_km, summary.soc_end,
-        summary.energy_out_kwh, summary.energy_regen_kwh,
-    )
-    want = (
-        ref.t_s, ref.body.distance_km, ref.battery.soc,
-        ref.battery.cumulative_energy_out, ref.battery.cumulative_energy_regen,
-    )
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert _bits(summary) == _bits(want_summary)
+    assert _bits(ledger) == _bits(want_ledger)
     return trace
 
 
@@ -190,6 +186,28 @@ def test_stop_clamp_sheds_friction_before_regen(config):
 
 def test_udds_prefix_matches_iterated_step(config, udds):
     _run_and_step_match_reference(config, udds, 600)
+
+
+def test_repeat_cursor_matches_target_speed_over_wraps(config):
+    # Off-grid knots (and one on it) over a 3.05 s cycle: 300 steps wrap it
+    # nine times. Every target must be target_speed's double at the query
+    # time of the kernel's wrap rule.
+    cycle = DriveCycle(
+        "short",
+        np.array([0.0, 0.35, 1.2, 2.0, 3.05]),
+        np.array([0.0, 12.5, 7.0, 30.0, 3.0]),
+    )
+    trace, _, _ = run(config, cycle, repeat=True, max_time=30.0)
+    assert len(trace) == 300
+    duration = cycle.duration_s
+    wraps = 0
+    for t, got in zip(trace.t_s.tolist(), trace.v_target_kmh.tolist()):
+        tq = t - wraps * duration
+        while tq >= duration:
+            wraps += 1
+            tq = t - wraps * duration
+        assert got.hex() == target_speed(cycle, tq).hex(), t
+    assert wraps == 9
 
 
 def test_step_past_cycle_end_holds_last_target(config):
@@ -323,6 +341,30 @@ def test_stop_reason_priority(config, udds):
     assert summary.stop_reason is StopReason.CYCLE_END
     assert summary.duration_s == pytest.approx(1369.0, abs=1e-6)
     assert summary.cycles_completed == 1
+
+
+def test_single_pass_is_bounded_by_max_sim_time(config):
+    # A cycle far longer than the budget stops at sim.max_sim_time.
+    cfg = with_overrides(config, sim={"max_sim_time": 10.0})
+    endless = DriveCycle("endless", np.array([0.0, 1e300]), np.array([0.0, 5.0]))
+    trace, summary, _ = run(cfg, endless)
+    assert len(trace) == 100
+    assert summary.stop_reason is StopReason.MAX_TIME
+    assert summary.duration_s == pytest.approx(10.0, abs=1e-9)
+    # A cycle that fits the budget exactly reports what it does without one.
+    fits = with_overrides(config, sim={"max_sim_time": 40.0})
+    cycle = synth_trapezoid(50.0, 15.0, 10.0)
+    assert cycle.duration_s == 40.0
+    t_fit, s_fit, l_fit = run(fits, cycle)
+    t_ref, s_ref, l_ref = run(config, cycle)
+    assert s_fit == s_ref and l_fit == l_ref
+    assert s_fit.stop_reason is StopReason.CYCLE_END
+    assert np.array_equal(t_fit.v_kmh, t_ref.v_kmh)
+
+
+def test_run_rejects_non_finite_max_time(config, udds):
+    with pytest.raises(ValueError, match="max_time"):
+        run(config, udds, max_time=float("inf"))
 
 
 def test_repeat_mode_counts_cycles(config, udds):

@@ -16,7 +16,13 @@ from bevsim import (
     top_speed_oracle,
     top_speed_test,
 )
-from bevsim.experiments import range_test_detailed
+from bevsim.experiments import (
+    _FULL_THROTTLE_TIME_CAP_S,
+    AccelReport,
+    _crossing_time,
+    _full_throttle_cycle,
+    range_test_detailed,
+)
 from bevsim.params import RPM_KW_CONSTANT, default_config, validate, with_overrides
 
 
@@ -131,6 +137,69 @@ def test_accel_unreachable_target(config):
         accel_test(config, 250.0)
     with pytest.raises(UnreachableTargetError):
         accel_time_oracle(config, 250.0)
+
+
+def _accel_over_full_cap(config, target_kmh):
+    """accel_test's report from one full-throttle run over the whole time
+    cap; None when the target is not reached within it."""
+    trace, _, _ = run(
+        config,
+        _full_throttle_cycle(),
+        pinned_command=1.0,
+        max_time=_FULL_THROTTLE_TIME_CAP_S,
+        repeat=True,
+    )
+    t_cross, idx = _crossing_time(trace.t_s, trace.v_kmh, target_kmh)
+    if t_cross is None:
+        return None
+    trajectory = tuple(
+        (float(t), float(v))
+        for t, v in zip(trace.t_s[: idx + 1], trace.v_kmh[: idx + 1])
+    )
+    return AccelReport(t_cross, target_kmh, trajectory)
+
+
+def _accel_bits(report):
+    return (
+        report.time_to_target_s.hex(),
+        report.target_kmh,
+        [(t.hex(), v.hex()) for t, v in report.speed_trajectory],
+    )
+
+
+@pytest.mark.parametrize(
+    "body, target",
+    [
+        ({}, 50.0),
+        ({}, 100.0),
+        ({}, 150.0),
+        ({}, "oracle-1.5"),  # crosses after about 93 s
+        ({"mass": 60_000.0, "f0": 0.0}, 100.0),  # after about 534 s
+    ],
+    ids=["50", "100", "150", "near-top-speed", "crosses-in-last-horizon"],
+)
+def test_accel_matches_full_cap_run_bit_for_bit(config, body, target):
+    # accel_test stops at the first horizon holding the crossing; a shorter
+    # run from rest is a prefix of the full-cap run, so nothing may change.
+    config = with_overrides(config, body=body)
+    if target == "oracle-1.5":
+        target = top_speed_oracle(config) - 1.5
+    want = _accel_over_full_cap(config, target)
+    assert want is not None
+    assert _accel_bits(accel_test(config, target)) == _accel_bits(want)
+
+
+def test_accel_not_reached_within_cap_matches_full_cap_run(config):
+    # Without rolling resistance a 200 t car still has the default's
+    # force-balance top speed but gains under 40 km/h in the whole cap.
+    heavy = with_overrides(config, body={"mass": 200_000.0, "f0": 0.0})
+    assert top_speed_oracle(heavy) > 100.0
+    assert _accel_over_full_cap(heavy, 100.0) is None
+    with pytest.raises(UnreachableTargetError) as exc:
+        accel_test(heavy, 100.0)
+    assert str(exc.value) == (
+        f"100 km/h not reached within {_FULL_THROTTLE_TIME_CAP_S:g} s"
+    )
 
 
 def test_size_motor_values(config):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -75,6 +76,17 @@ def test_parse_rejects_non_numeric_values():
         parse_config('{"body": {"mass": "heavy"}}')
     with pytest.raises(ConfigError, match="body.mass"):
         parse_config('{"body": {"mass": true}}')
+
+
+def test_validate_reports_every_non_finite_field(config):
+    bad = with_overrides(
+        config, body={"mass": math.inf}, sim={"max_sim_time": math.nan}
+    )
+    violations = validate(bad)
+    assert "body.mass: must be finite (got inf)" in violations
+    assert "sim.max_sim_time: must be finite (got nan)" in violations
+    with pytest.raises(ConfigError, match="body.mass: must be finite"):
+        parse_config('{"body": {"mass": -Infinity}}')
 
 
 def test_parse_rejects_malformed_json():
