@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -168,6 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> VehicleConfig:
+    """The subcommand's config: the file or the defaults, with the flag
+    overrides applied and validated, and every numeric flag checked."""
     if getattr(args, "no_regen", False) and getattr(args, "regen_eff", None) is not None:
         raise ConfigError("--no-regen conflicts with --regen-eff")
     if getattr(args, "config", None):
@@ -191,7 +194,25 @@ def _load_config(args) -> VehicleConfig:
             raise ConfigError(
                 "invalid configuration after overrides: " + "; ".join(violations)
             )
+    _check_numeric_flags(args, config)
     return config
+
+
+def _check_numeric_flags(args, config: VehicleConfig) -> None:
+    """The one rule for numeric flags: every float flag is finite, and a
+    SoC floor lies in [0, initial SoC). The overrides of config fields
+    (--dt, --regen-eff) have already been held to the config's own rules."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"{flag} must be finite (got {value})")
+    until_soc = getattr(args, "until_soc", None)
+    initial_soc = config.battery.initial_soc
+    if until_soc is not None and not 0.0 <= until_soc < initial_soc:
+        raise ConfigError(
+            f"--until-soc must lie in [0, {initial_soc}), below the initial "
+            f"SoC (got {until_soc})"
+        )
 
 
 def _load_cycle(args) -> DriveCycle:
@@ -226,14 +247,15 @@ def _ledger_dict(ledger: EnergyLedger) -> dict:
     return d
 
 
+_TRACE_ROW = ",".join(["%.6g"] * len(TRACE_FIELDS)) + "\n"
+
+
 def emit_trace(trace: SimTrace, path: str) -> None:
     """Write the trace CSV (exact 15-column header, 6 significant digits)."""
-    cols = [getattr(trace, f) for f in TRACE_FIELDS]
-    lines = [",".join(TRACE_FIELDS)]
-    for i in range(len(trace)):
-        lines.append(",".join(format(float(c[i]), ".6g") for c in cols))
+    cols = [getattr(trace, f).tolist() for f in TRACE_FIELDS]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(TRACE_FIELDS) + "\n")
+        fh.writelines(_TRACE_ROW % row for row in zip(*cols))
 
 
 def cmd_simulate(args) -> int:
@@ -278,11 +300,6 @@ def _range_report_dict(report: experiments.RangeReport) -> dict:
 def cmd_range(args) -> int:
     config = _load_config(args)
     cycle = _load_cycle(args)
-    if args.until_soc is not None and args.until_soc >= config.battery.initial_soc:
-        raise ConfigError(
-            f"--until-soc {args.until_soc} must be below the initial SoC "
-            f"{config.battery.initial_soc}"
-        )
     if args.every < 1:
         raise ConfigError(f"--every must be >= 1 (got {args.every})")
     if args.compare_regen:
@@ -398,12 +415,7 @@ def cmd_defaults(args) -> int:
 def cmd_validate(args) -> int:
     if not getattr(args, "config", None):
         raise ConfigError("validate requires --config PATH")
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file '{args.config}': {exc}") from None
-    config = parse_config(text)  # raises ConfigError listing all violations
+    config = _load_config(args)  # raises ConfigError listing all violations
     _print_json(
         {
             "schema_version": SCHEMA_VERSION,

@@ -1,10 +1,10 @@
-"""Resistive road loads, force balance, and speed/distance integration.
+"""Vehicle body state and the resistive road-load formulas.
 
-Internal computation is SI; speeds cross into km/h only at the empirical
-formula boundaries (the rolling and drag polynomials take km/h, with the
-21.15 constant absorbing air density and the unit change). Braking terms
-enter the force breakdown as non-negative magnitudes with fixed signs, so
-no caller ever negates a torque twice.
+The force balance and the speed/distance integration run inside the engine
+kernel (``engine._advance``). The two road-load formulas stay here as
+functions because the experiments' force-balance oracles evaluate them
+outside any run. They take km/h, as the empirical formulas do: the 21.15
+constant absorbs air density and the unit change.
 """
 
 from __future__ import annotations
@@ -29,30 +29,6 @@ class BodyState:
     acceleration_ms2: float = 0.0
 
 
-@dataclass(frozen=True)
-class ForceBreakdown:
-    """Per-step wheel-level forces [N]; all components non-negative.
-
-    ``net`` is propulsion minus every opposing term, by construction.
-    """
-
-    propulsion: float = 0.0
-    regen_brake: float = 0.0
-    friction_brake: float = 0.0
-    rolling: float = 0.0
-    aero: float = 0.0
-
-    @property
-    def net(self) -> float:
-        return (
-            self.propulsion
-            - self.regen_brake
-            - self.friction_brake
-            - self.rolling
-            - self.aero
-        )
-
-
 def rolling_resistance(body: VehicleBodyParams, speed_kmh: float) -> float:
     """Rolling resistance [N]: m*g*(f0 + f1*(v/100) + f4*(v/100)^4), v in km/h.
 
@@ -71,26 +47,4 @@ def aero_drag(body: VehicleBodyParams, speed_kmh: float) -> float:
         raise ValueError(f"speed must be >= 0 (got {speed_kmh})")
     return (
         body.drag_coefficient * body.frontal_area * speed_kmh * speed_kmh / 21.15
-    )
-
-
-def acceleration(forces: ForceBreakdown, mass_kg: float) -> float:
-    """Acceleration [m/s^2] from the net wheel-level force."""
-    if mass_kg <= 0.0:
-        raise ValueError(f"mass must be > 0 (got {mass_kg})")
-    return forces.net / mass_kg
-
-
-def integrate(state: BodyState, accel_ms2: float, dt: float) -> BodyState:
-    """Semi-implicit Euler update: speed first, then distance with the new
-    speed. Speed clamps at zero (no reverse); distance never decreases.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0 (got {dt})")
-    speed = state.speed_kmh + accel_ms2 * dt * 3.6
-    if speed < 0.0:
-        speed = 0.0
-    distance = state.distance_km + (speed / 3.6) * dt / 1000.0
-    return BodyState(
-        speed_kmh=speed, distance_km=distance, acceleration_ms2=accel_ms2
     )

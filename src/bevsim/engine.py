@@ -6,7 +6,7 @@ electrical power, current, and battery update. The driver acts on the
 previous step's speed and the battery sees this step's motor power (one
 step of signal latency, accepted and documented).
 
-Engine-level rules the component modules leave open:
+Engine-level rules on top of the per-step formulas:
 
 * Standstill: at rest with net driving force at or below the static rolling
   threshold (m*g*f0), nothing moves and all reported forces are zero; above
@@ -25,13 +25,17 @@ Engine-level rules the component modules leave open:
 * Beyond the motor speed ceiling the commanded torque is capped to zero
   rather than raising mid-run.
 
-All per-step arithmetic lives in one private kernel, ``_advance``, which
-inlines the component formulas of ``driver``, ``dynamics`` and
-``powertrain``. ``run`` calls it once for a whole run; ``step`` calls it
-for a single step from a client-held ``SimState``. The test suite keeps the
-composition of the component operations as a reference and checks both
-entry points against it bit for bit. Runs are deterministic: identical
-config, cycle, and options produce bit-identical traces.
+All per-step physics lives in one private kernel, ``_advance``: the PI
+controller, the braking split, the road loads, the force balance and
+integration, the motor envelope, the electrical conversion and the battery
+update. ``driver``, ``dynamics`` and ``powertrain`` hold only the state
+types, ``initial_battery_state`` and the road-load formulas that the
+experiments' force-balance oracles evaluate. ``run`` calls the kernel
+once for a whole run; ``step`` calls it for a single step from a
+client-held ``SimState``. The test suite composes the same physics from
+separate component operations (``tests/step_reference.py``) and checks
+both entry points against it bit for bit. Runs are deterministic:
+identical config, cycle, and options produce bit-identical traces.
 
 Editing the kernel: every double it produces must stay bit for bit what
 the reference computes. A step may hoist a loop-invariant product only

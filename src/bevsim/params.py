@@ -166,26 +166,6 @@ class VehicleConfig:
     sim: SimParams = field(default_factory=SimParams)
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Quantities computed from a validated config.
-
-    Args:
-        battery_capacity_ah: Amp-hour capacity, 1000 * E_kWh / V_nominal [Ah].
-        motor_base_speed_rpm: Speed where the torque and power limits cross,
-            9550 * max_power / max_torque [rpm].
-        motor_rpm_per_kmh: Motor shaft speed per unit vehicle speed
-            [rpm per km/h].
-        standstill_wheel_force_n: Peak wheel propulsion force at rest,
-            max_torque * gear_ratio * transmission_efficiency / wheel_radius [N].
-    """
-
-    battery_capacity_ah: float
-    motor_base_speed_rpm: float
-    motor_rpm_per_kmh: float
-    standstill_wheel_force_n: float
-
-
 _SECTIONS = {
     "body": VehicleBodyParams,
     "motor": MotorParams,
@@ -360,23 +340,6 @@ def _positive(out: list[str], name: str, value: float) -> None:
 def _non_negative(out: list[str], name: str, value: float) -> None:
     if not value >= 0.0:
         out.append(f"{name}: must be >= 0 (got {value})")
-
-
-def derived_quantities(config: VehicleConfig) -> DerivedParams:
-    """Compute derived pack/motor quantities from a validated config."""
-    bat = config.battery
-    m = config.motor
-    d = config.drivetrain
-    b = config.body
-    return DerivedParams(
-        battery_capacity_ah=1000.0 * bat.capacity_energy / bat.nominal_voltage,
-        motor_base_speed_rpm=RPM_KW_CONSTANT * m.max_power / m.max_torque,
-        motor_rpm_per_kmh=motor_rpm_per_kmh(b.wheel_radius, d.gear_ratio),
-        standstill_wheel_force_n=(
-            m.max_torque * d.gear_ratio * d.transmission_efficiency
-            / b.wheel_radius
-        ),
-    )
 
 
 def motor_rpm_per_kmh(wheel_radius: float, gear_ratio: float) -> float:

@@ -1,27 +1,27 @@
-"""Reference step: the engine's per-step rules composed from the component
-operations of ``cycle``, ``driver``, ``dynamics`` and ``powertrain``.
+"""Reference step: the engine's per-step rules composed from component
+operations, the bit-exact oracle for the engine kernel.
 
-The engine inlines this arithmetic into one kernel for speed; tests compare
-both ``engine.run`` and ``engine.step`` against this composition bit for
-bit, so a change to the engine's physics must be made here as well.
-``reference_run`` iterates the reference step and accumulates the energy
-ledger and the tracking error the way the kernel does, so ``run``'s summary
-and ledger can be checked bit for bit too.
+The package runs all per-step physics in one kernel, ``engine._advance``.
+This module keeps the same physics as separate component operations (the
+PI controller and braking split, the force balance and integration, the
+motor envelope, electrical conversion and battery update) and composes them
+in the documented order. Tests compare both ``engine.run`` and
+``engine.step`` against this composition bit for bit, so a change to the
+engine's physics must be made here as well. ``reference_run`` iterates the
+reference step and accumulates the energy ledger and the tracking error the
+way the kernel does, so ``run``'s summary and ledger can be checked bit for
+bit too. The component operations have their own unit tests in
+``test_driver``, ``test_dynamics`` and ``test_powertrain``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 
 from bevsim.cycle import DriveCycle, target_speed
-from bevsim.driver import ActuationRequest, DriverState, pi_step, split_command
-from bevsim.dynamics import (
-    ForceBreakdown,
-    acceleration,
-    aero_drag,
-    integrate,
-    rolling_resistance,
-)
+from bevsim.driver import DriverState
+from bevsim.dynamics import BodyState, aero_drag, rolling_resistance
 from bevsim.engine import (
     EnergyLedger,
     SimState,
@@ -30,8 +30,296 @@ from bevsim.engine import (
     TraceRecord,
     initial_state,
 )
-from bevsim.params import VehicleConfig
-from bevsim.powertrain import battery_step, motor_current, motor_electrical_power
+from bevsim.errors import DegenerateVoltageError, EnvelopeError
+from bevsim.params import (
+    RPM_KW_CONSTANT,
+    BatteryParams,
+    DriverParams,
+    MotorParams,
+    VehicleConfig,
+)
+from bevsim.powertrain import BatteryState
+
+# Below this terminal voltage the current computation is meaningless.
+VOLTAGE_FLOOR = 1.0
+
+
+# -- driver: PI command and braking-allocation split --------------------------
+#
+# The PI output is a normalized command in [-1, 1]; positive demands
+# propulsion torque, negative demands braking. Negative commands are split
+# regen-first: the motor absorbs as much of the demanded wheel force as its
+# torque envelope allows (unless the vehicle is below the cutoff speed), and
+# the friction system supplies the remainder up to its cap.
+
+
+@dataclass(frozen=True)
+class ActuationRequest:
+    """Driver command resolved into actuator demands.
+
+    Propulsion and braking are mutually exclusive. ``regen_torque_nm`` is
+    the magnitude of the negative motor-shaft torque; ``friction_force_n``
+    acts directly at the wheels.
+    """
+
+    propulsion_torque_nm: float = 0.0
+    regen_torque_nm: float = 0.0
+    friction_force_n: float = 0.0
+
+
+def pi_step(
+    state: DriverState,
+    target_kmh: float,
+    actual_kmh: float,
+    dt: float,
+    params: DriverParams,
+) -> tuple[float, DriverState]:
+    """Advance the PI controller one step; returns (command, new state).
+
+    The command is kp*dv + ki*integral with the integral tentatively
+    advanced by dv*dt, clamped to [command_min, command_max]. Anti-windup is
+    conditional integration: the tentative advance is kept only when the
+    output is unsaturated or the error drives it out of saturation, so the
+    integral stays bounded under persistent saturation.
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be > 0 (got {dt})")
+    dv = target_kmh - actual_kmh
+    candidate = state.integral + dv * dt
+    raw = params.kp * dv + params.ki * candidate
+    if raw > params.command_max:
+        command = params.command_max
+        integral = state.integral if dv > 0.0 else candidate
+    elif raw < params.command_min:
+        command = params.command_min
+        integral = state.integral if dv < 0.0 else candidate
+    else:
+        command = raw
+        integral = candidate
+    return command, DriverState(integral=integral, last_command=command)
+
+
+def split_command(
+    command: float,
+    motor_speed_rpm: float,
+    vehicle_speed_kmh: float,
+    config: VehicleConfig,
+) -> ActuationRequest:
+    """Resolve a normalized command into propulsion/regen/friction demands.
+
+    A non-negative command scales the motor torque available at the current
+    speed. A negative command demands a wheel braking force of
+    |command| * (friction cap + regen-capable wheel force); regeneration is
+    capable of ``available_torque * gear_ratio / (transmission_efficiency *
+    wheel_radius)`` at the wheels (losses subtract from the through-power on
+    the generating path) and is disabled below the cutoff speed. Beyond the
+    motor speed ceiling the available torque is treated as zero rather than
+    an error.
+    """
+    motor = config.motor
+    d = config.drivetrain
+    if motor_speed_rpm > motor.max_speed:
+        avail = 0.0
+    else:
+        avail = available_torque(motor, motor_speed_rpm)
+    if command >= 0.0:
+        return ActuationRequest(propulsion_torque_nm=command * avail)
+
+    if vehicle_speed_kmh > d.regen_cutoff_speed:
+        cap_wheel_force = (
+            avail * d.gear_ratio
+            / (d.transmission_efficiency * config.body.wheel_radius)
+        )
+    else:
+        cap_wheel_force = 0.0
+    demand = -command * (d.max_friction_brake_force + cap_wheel_force)
+    regen_force = demand if demand <= cap_wheel_force else cap_wheel_force
+    remainder = demand - regen_force
+    friction = (
+        remainder
+        if remainder <= d.max_friction_brake_force
+        else d.max_friction_brake_force
+    )
+    regen_torque = (
+        regen_force
+        * d.transmission_efficiency
+        * config.body.wheel_radius
+        / d.gear_ratio
+    )
+    return ActuationRequest(regen_torque_nm=regen_torque, friction_force_n=friction)
+
+
+# -- dynamics: force balance and speed/distance integration -------------------
+#
+# Internal computation is SI; speeds cross into km/h only at the empirical
+# road-load formulas (``bevsim.dynamics``). Braking terms enter the force
+# breakdown as non-negative magnitudes with fixed signs, so no caller ever
+# negates a torque twice.
+
+
+@dataclass(frozen=True)
+class ForceBreakdown:
+    """Per-step wheel-level forces [N]; all components non-negative.
+
+    ``net`` is propulsion minus every opposing term, by construction.
+    """
+
+    propulsion: float = 0.0
+    regen_brake: float = 0.0
+    friction_brake: float = 0.0
+    rolling: float = 0.0
+    aero: float = 0.0
+
+    @property
+    def net(self) -> float:
+        return (
+            self.propulsion
+            - self.regen_brake
+            - self.friction_brake
+            - self.rolling
+            - self.aero
+        )
+
+
+def acceleration(forces: ForceBreakdown, mass_kg: float) -> float:
+    """Acceleration [m/s^2] from the net wheel-level force."""
+    if mass_kg <= 0.0:
+        raise ValueError(f"mass must be > 0 (got {mass_kg})")
+    return forces.net / mass_kg
+
+
+def integrate(state: BodyState, accel_ms2: float, dt: float) -> BodyState:
+    """Semi-implicit Euler update: speed first, then distance with the new
+    speed. Speed clamps at zero (no reverse); distance never decreases.
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be > 0 (got {dt})")
+    speed = state.speed_kmh + accel_ms2 * dt * 3.6
+    if speed < 0.0:
+        speed = 0.0
+    distance = state.distance_km + (speed / 3.6) * dt / 1000.0
+    return BodyState(
+        speed_kmh=speed, distance_km=distance, acceleration_ms2=accel_ms2
+    )
+
+
+# -- powertrain: motor envelope, electrical conversion, transmission, battery -
+#
+# Sign conventions: positive shaft torque, electrical power, and current mean
+# propulsion/discharge; negative mean generation/charging. Efficiencies
+# always reduce the through-power, in both directions: an electric machine
+# draws more electrical power than it delivers mechanically when propelling,
+# and delivers less electrical power than it absorbs when generating.
+
+
+def available_torque(motor: MotorParams, speed_rpm: float) -> float:
+    """Peak shaft torque [N*m] at a given speed: torque cap below base
+    speed, max_power envelope above it.
+
+    Raises:
+        EnvelopeError: If speed exceeds max_speed (callers must cap motor
+            speed before asking).
+    """
+    if speed_rpm < 0.0:
+        raise EnvelopeError(f"motor speed must be >= 0 (got {speed_rpm})")
+    if speed_rpm > motor.max_speed:
+        raise EnvelopeError(
+            f"motor speed {speed_rpm:.1f} rpm exceeds max {motor.max_speed:.1f} rpm"
+        )
+    if speed_rpm == 0.0:
+        return motor.max_torque
+    return min(motor.max_torque, RPM_KW_CONSTANT * motor.max_power / speed_rpm)
+
+
+def motor_electrical_power(
+    shaft_torque_nm: float, speed_rpm: float, motor_efficiency: float
+) -> float:
+    """Electrical power [kW] for a shaft torque [N*m] at a speed [rpm].
+
+    Mechanical power is tau * n / 9550 kW. Propulsion divides by the
+    efficiency (the battery supplies the losses); generation multiplies by
+    it (losses reduce what comes back). Zero torque draws nothing.
+    """
+    if shaft_torque_nm == 0.0:
+        return 0.0
+    mech_kw = shaft_torque_nm * speed_rpm / RPM_KW_CONSTANT
+    if shaft_torque_nm > 0.0:
+        return mech_kw / motor_efficiency
+    return mech_kw * motor_efficiency
+
+
+def motor_current(electrical_power_kw: float, terminal_voltage: float) -> float:
+    """Battery current [A] = 1000 * P / V, sign preserved.
+
+    Raises:
+        DegenerateVoltageError: If the terminal voltage is below 1 V.
+    """
+    if terminal_voltage < VOLTAGE_FLOOR:
+        raise DegenerateVoltageError(
+            f"terminal voltage {terminal_voltage:.3f} V below {VOLTAGE_FLOOR} V floor"
+        )
+    return 1000.0 * electrical_power_kw / terminal_voltage
+
+
+def wheel_torque(
+    motor_torque_nm: float, gear_ratio: float, transmission_efficiency: float
+) -> float:
+    """Wheel-side torque [N*m] for a motor-side torque [N*m], signed.
+
+    Propulsion multiplies by gear_ratio * efficiency. On the generating
+    path the losses still subtract from the through-power, so a motor
+    absorbing |tau| corresponds to a larger wheel-side braking torque
+    |tau| * gear_ratio / efficiency.
+    """
+    if motor_torque_nm >= 0.0:
+        return motor_torque_nm * gear_ratio * transmission_efficiency
+    return motor_torque_nm * gear_ratio / transmission_efficiency
+
+
+def battery_step(
+    state: BatteryState, current_a: float, dt: float, params: BatteryParams
+) -> BatteryState:
+    """Advance the battery one step at a constant current [A].
+
+    Amp-hour counting: soc decreases by eta_coulombic * J * dt / (3600 * Cb)
+    with Cb in Ah (discharge positive, charging negative). The terminal
+    voltage is nominal minus the resistive drop for this step's current, and
+    the terminal energy V * J * dt accumulates into the discharge or regen
+    ledger by sign. SoC is clamped to [0, 1] with a saturation flag; the
+    depletion stop policy belongs to the engine.
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be > 0 (got {dt})")
+    capacity_ah = 1000.0 * params.capacity_energy / params.nominal_voltage
+    soc = state.soc - params.coulombic_efficiency * current_a * dt / (
+        3600.0 * capacity_ah
+    )
+    saturated = state.soc_saturated
+    if soc > 1.0:
+        soc = 1.0
+        saturated = True
+    elif soc < 0.0:
+        soc = 0.0
+        saturated = True
+    voltage = params.nominal_voltage - params.internal_resistance * current_a
+    terminal_energy_kwh = voltage * current_a * dt / 3.6e6
+    out = state.cumulative_energy_out
+    regen = state.cumulative_energy_regen
+    if current_a >= 0.0:
+        out += terminal_energy_kwh
+    else:
+        regen += -terminal_energy_kwh
+    return replace(
+        state,
+        soc=soc,
+        terminal_voltage=voltage,
+        cumulative_energy_out=out,
+        cumulative_energy_regen=regen,
+        soc_saturated=saturated,
+    )
+
+
+# -- the composed step ---------------------------------------------------------
 
 
 def reference_step(

@@ -6,7 +6,7 @@ import pytest
 from bevsim import PlotError, parse_config, run, synth_trapezoid
 from bevsim.cli import build_parser, emit_trace, main
 from bevsim.cycle import serialize_cycle
-from bevsim.engine import TRACE_FIELDS
+from bevsim.engine import TRACE_FIELDS, SimTrace
 from bevsim.params import serialize_config
 from bevsim.plots import emit_plot
 
@@ -82,6 +82,22 @@ def test_emit_trace_decimation(tmp_path, config):
     emit_trace(trace, str(path))
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 1 + 25
+
+
+def test_emit_trace_formats_edge_values_like_format_6g(tmp_path):
+    values = [-0.0, 1e-05, 5e-324, 1e16, 999999.5, 123456.5, np.inf, np.nan]
+    # Rotate the values so every column holds each of them once.
+    cols = {
+        f: np.array(values[j % 8:] + values[:j % 8])
+        for j, f in enumerate(TRACE_FIELDS)
+    }
+    path = tmp_path / "edges.csv"
+    emit_trace(SimTrace(**cols), str(path))
+    expected = [EXPECTED_HEADER] + [
+        ",".join(format(float(cols[f][i]), ".6g") for f in TRACE_FIELDS)
+        for i in range(len(values))
+    ]
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 def test_repeated_invocations_are_byte_identical(tmp_path, short_cycle_path, capsys):
@@ -190,6 +206,38 @@ def test_non_finite_override_exits_one(short_cycle_path, capsys):
     _assert_one_line_error(capsys, code, "drivetrain.regen_efficiency")
 
 
+def _float_flags():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    return [
+        (name, action.option_strings[0])
+        for name, sub in subparsers.items()
+        for action in sub._actions
+        if action.type is float
+    ]
+
+
+# Flags that override a config field are reported under the field's name.
+_OVERRIDDEN_FIELD = {"--dt": "sim.dt", "--regen-eff": "drivetrain.regen_efficiency"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("subcommand, flag", _float_flags())
+def test_non_finite_float_flag_exits_one(
+    small_config_path, capsys, subcommand, flag, value
+):
+    code = main(
+        [subcommand, "--config", small_config_path, f"{flag}={value}"]
+    )
+    _assert_one_line_error(capsys, code, _OVERRIDDEN_FIELD.get(flag, flag))
+
+
+def test_float_flags_cover_every_numeric_option():
+    assert {flag for _, flag in _float_flags()} == {
+        "--dt", "--regen-eff", "--until-soc", "--target", "--duration",
+        "--speed", "--power",
+    }
+
+
 def test_single_pass_longer_than_max_sim_time_stops(tmp_path, capsys):
     cycle = tmp_path / "endless.csv"
     cycle.write_text("t_s,v_kmh\n0,0\n1e300,5\n")
@@ -263,6 +311,12 @@ def test_range_rejects_floor_above_initial_soc(small_config_path, capsys):
     )
     assert code == 1
     assert "--until-soc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("floor", ["-0.5", "0.9"])
+def test_range_rejects_floor_outside_unit_range(small_config_path, capsys, floor):
+    code = main(["range", "--config", small_config_path, f"--until-soc={floor}"])
+    _assert_one_line_error(capsys, code, "--until-soc must lie in [0, 0.9)")
 
 
 def test_accel_command(capsys, tmp_path):

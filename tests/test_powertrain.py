@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from bevsim import (
-    DegenerateVoltageError,
-    EnvelopeError,
+from step_reference import (
     available_torque,
     battery_step,
     motor_current,
     motor_electrical_power,
     wheel_torque,
 )
+
+from bevsim import DegenerateVoltageError, EnvelopeError
 from bevsim.params import motor_rpm_per_kmh
 from bevsim.powertrain import BatteryState, initial_battery_state
 
