@@ -139,7 +139,7 @@ def target_speed(cycle: DriveCycle, t: float) -> float:
     kernel caches the current segment (t0, v0, v1 - v0, t1 - t0) between
     steps but evaluates this same expression.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0 (got {t})")
     times = cycle._times
     speeds = cycle._speeds

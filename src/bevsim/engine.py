@@ -32,17 +32,26 @@ update. ``driver``, ``dynamics`` and ``powertrain`` hold only the state
 types, ``initial_battery_state`` and the road-load formulas that the
 experiments' force-balance oracles evaluate. ``run`` calls the kernel
 once for a whole run; ``step`` calls it for a single step from a
-client-held ``SimState``. The test suite composes the same physics from
-separate component operations (``tests/step_reference.py``) and checks
-both entry points against it bit for bit. Runs are deterministic:
-identical config, cycle, and options produce bit-identical traces.
+client-held ``SimState``, with no trace collection, and builds its record
+from the last-step tuple the kernel returns. The test suite composes the
+same physics from separate component operations
+(``tests/step_reference.py``) and checks both entry points against it bit
+for bit. Runs are deterministic: identical config, cycle, and options
+produce bit-identical traces.
 
-Editing the kernel: every double it produces must stay bit for bit what
-the reference computes. A step may hoist a loop-invariant product only
-when it is the left-operand prefix of a left-to-right expression (``m * g``
-in ``m * g * (...)``), and may reuse a value only where the identical
-subexpression appears again. Never reassociate, reorder or fuse a
-floating-point operation.
+The kernel's loop invariants (config scalars, hoisted products) come from
+``_invariants``, which keeps the last config's in one module-level
+``(config, invariants)`` slot, compared by identity and read with one
+global load: a ``step()`` session passing one config object hoists once,
+any other config object recomputes, and no caller, in any thread, pairs a
+config with another's values (the slot's reference keeps the id unique).
+
+Editing the kernel or ``_invariants``: every double they produce must stay
+bit for bit what the reference computes. A step may hoist a loop-invariant
+product only when it is the left-operand prefix of a left-to-right
+expression (``m * g`` in ``m * g * (...)``), and may reuse a value only
+where the identical subexpression appears again. Never reassociate,
+reorder or fuse a floating-point operation.
 """
 
 from __future__ import annotations
@@ -188,26 +197,9 @@ class SimSummary:
     stop_reason: StopReason
 
 
-class _Carry(NamedTuple):
-    """Integration state handed into and out of the kernel."""
-
-    t_s: float
-    v_kmh: float
-    dist_km: float
-    integral: float
-    soc: float
-    volt_v: float
-    energy_out_kwh: float
-    energy_regen_kwh: float
-
-
 def initial_state(config: VehicleConfig) -> SimState:
-    return SimState(
-        t_s=0.0,
-        body=BodyState(),
-        battery=initial_battery_state(config.battery),
-        driver=DriverState(),
-    )
+    battery = initial_battery_state(config.battery)
+    return SimState(0.0, BodyState(), battery, DriverState())
 
 
 def step(
@@ -226,49 +218,48 @@ def step(
     during the step.
 
     Raises:
-        ValueError: If ``state.t_s`` is negative or ``config.sim.dt`` is
-            not positive.
-        EnvelopeError: If the vehicle speed is negative.
-        DegenerateVoltageError: If the terminal voltage is below 1 V.
+        ValueError: If ``state.t_s`` is negative, ``config.sim.dt`` is not
+            positive, or any state float the kernel reads is not finite.
+        EnvelopeError: If the vehicle speed is negative or not finite.
+        DegenerateVoltageError: If the terminal voltage is not >= 1 V.
     """
+    t = state.t_s
     dt = config.sim.dt
-    if state.t_s < 0.0:
-        raise ValueError(f"t must be >= 0 (got {state.t_s})")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0 (got {dt})")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0 (got {t})")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0 (got {dt})")
     body = state.body
     battery = state.battery
-    if body.speed_kmh < 0.0:
-        raise EnvelopeError(f"vehicle speed must be >= 0 (got {body.speed_kmh})")
-    start = _Carry(
-        state.t_s,
-        body.speed_kmh,
-        body.distance_km,
-        state.driver.integral,
-        battery.soc,
-        battery.terminal_voltage,
-        battery.cumulative_energy_out,
-        battery.cumulative_energy_regen,
+    v = body.speed_kmh
+    if not 0.0 <= v < math.inf:
+        raise EnvelopeError(f"vehicle speed must be finite and >= 0 (got {v})")
+    vterm = battery.terminal_voltage
+    if not 1.0 <= vterm < math.inf:
+        raise DegenerateVoltageError(
+            f"terminal voltage {vterm} V is not a finite value >= 1 V"
+        )
+    dist = body.distance_km
+    integ = state.driver.integral
+    soc = battery.soc
+    out = battery.cumulative_energy_out
+    regen = battery.cumulative_energy_regen
+    if not (
+        math.isfinite(dist) and math.isfinite(integ) and math.isfinite(soc)
+        and math.isfinite(out) and math.isfinite(regen)
+    ):
+        raise ValueError(f"state floats must be finite (got {state})")
+    end, _, _, _, saturated, last = _advance(
+        config, cycle, (t, v, dist, integ, soc, vterm, out, regen), 1,
+        regen_enabled, None, False, pinned_command, 0,
     )
-    end, cols, _, _, saturated = _advance(
-        config, cycle, start, 1,
-        regen_enabled=regen_enabled, stop_at_soc=None, repeat=False,
-        pinned_command=pinned_command, trace_every=1,
-    )
-    record = TraceRecord._make(col[0] for col in cols)
-    new_state = SimState(
-        t_s=end.t_s,
-        body=BodyState(end.v_kmh, end.dist_km, record.accel_ms2),
-        battery=BatteryState(
-            end.soc,
-            end.volt_v,
-            end.energy_out_kwh,
-            end.energy_regen_kwh,
-            battery.soc_saturated or saturated,
-        ),
-        driver=DriverState(end.integral, record.cmd),
-    )
-    return new_state, record
+    t, v, dist, integ, soc, vterm, out, regen = end
+    return SimState(
+        t,
+        BodyState(v, dist, last[14]),
+        BatteryState(soc, vterm, out, regen, battery.soc_saturated or saturated),
+        DriverState(integ, last[4]),
+    ), TraceRecord(*last)
 
 
 def _steps_for(duration_s: float, dt: float) -> int:
@@ -331,35 +322,35 @@ def run(
     step_limit = min(limits)
     time_limited = time_steps is not None and time_steps <= step_limit
 
-    start = _Carry(0.0, 0.0, 0.0, 0.0, bat.initial_soc, bat.nominal_voltage, 0.0, 0.0)
-    end, cols, ledger_j, max_err, _ = _advance(
+    start = (0.0, 0.0, 0.0, 0.0, bat.initial_soc, bat.nominal_voltage, 0.0, 0.0)
+    end, cols, ledger_j, max_err, _, _ = _advance(
         config, cycle, start, step_limit,
         regen_enabled=regen_enabled, stop_at_soc=stop_at_soc, repeat=repeat,
         pinned_command=pinned_command, trace_every=trace_every,
     )
+    t, _, dist, _, soc, _, energy_out, energy_regen = end
     # The kernel stops early only at the soc floor, which also outranks a
     # step limit reached on the same step.
-    if stop_at_soc is not None and end.soc <= stop_at_soc:
+    if stop_at_soc is not None and soc <= stop_at_soc:
         reason = StopReason.SOC_FLOOR
     elif time_limited:
         reason = StopReason.MAX_TIME
     else:
         reason = StopReason.CYCLE_END
 
-    t = end.t_s
     trace = SimTrace(*(np.asarray(col, dtype=np.float64) for col in cols))
     cycle_max = float(np.max(cycle.speeds_kmh))
     summary = SimSummary(
         duration_s=t,
-        distance_km=end.dist_km,
+        distance_km=dist,
         soc_start=bat.initial_soc,
-        soc_end=end.soc,
+        soc_end=soc,
         max_tracking_error_kmh=max_err,
         max_tracking_error_pct=(
             100.0 * max_err / cycle_max if cycle_max > 0.0 else 0.0
         ),
-        energy_out_kwh=end.energy_out_kwh,
-        energy_regen_kwh=end.energy_regen_kwh,
+        energy_out_kwh=energy_out,
+        energy_regen_kwh=energy_regen,
         cycles_completed=int((t + dt * 1e-6) / duration) if duration > 0.0 else 0,
         stop_reason=reason,
     )
@@ -367,69 +358,73 @@ def run(
     return trace, summary, ledger
 
 
-def _advance(
-    config: VehicleConfig,
-    cycle: DriveCycle,
-    start: _Carry,
-    step_limit: int,
-    *,
-    regen_enabled: bool,
-    stop_at_soc: float | None,
-    repeat: bool,
-    pinned_command: float | None,
-    trace_every: int,
-) -> tuple[_Carry, list[list[float]], tuple[float, ...], float, bool]:
-    """The simulation kernel: advance ``start`` by ``step_limit`` steps, or
-    fewer once the soc reaches ``stop_at_soc``.
+_hoisted: tuple = (None, ())  # (config, invariants) of the last config seen
 
-    ``start.t_s`` may lie anywhere in the cycle, but a repeating run must
-    start within its first pass. Returns the end state; one list per
-    TRACE_FIELDS column holding every ``trace_every``-th record (none when
-    0); the ledger buckets in joules, in EnergyLedger field order; the
-    largest post-step tracking error [km/h]; and whether the soc was
-    clamped to [0, 1] on any step.
-    """
+
+def _invariants(config: VehicleConfig) -> tuple[float, ...]:
+    """The kernel's loop invariants for ``config``, in the order ``_advance``
+    unpacks them; computed once per config object (see the module notes)."""
+    global _hoisted
+    cached_config, cached = _hoisted
+    if cached_config is config:
+        return cached
     body = config.body
     motor = config.motor
     bat = config.battery
     d = config.drivetrain
     drv = config.driver
-    dt = config.sim.dt
-
     # Hoisted scalars; expressions mirror the component ops bit-for-bit.
     m = body.mass
-    g = body.gravity
-    f0 = body.f0
-    f1 = body.f1
-    f4 = body.f4
-    cd = body.drag_coefficient
-    af = body.frontal_area
     rw = body.wheel_radius
     gr = d.gear_ratio
-    eta_t = d.transmission_efficiency
-    fric_max = d.max_friction_brake_force
-    eta_regen = d.regen_efficiency
-    cutoff = d.regen_cutoff_speed
-    tau_max = motor.max_torque
-    p_max = motor.max_power
-    n_max = motor.max_speed
-    eta_m = motor.efficiency
-    kp = drv.kp
-    ki = drv.ki
-    cmd_lo = drv.command_min
-    cmd_hi = drv.command_max
     vn = bat.nominal_voltage
-    z = bat.internal_resistance
-    eta_c = bat.coulombic_efficiency
     capacity_ah = 1000.0 * bat.capacity_energy / vn
-    rpm_per_kmh = motor_rpm_per_kmh(rw, gr)
-    # Left-operand prefixes of the per-step expressions below.
-    mg = m * g
-    cd_af = cd * af
-    kw_rpm = RPM_KW_CONSTANT * p_max
-    charge_as = 3600.0 * capacity_ah
-    half_m = 0.5 * m
-    static_rr = mg * f0
+    mg = m * body.gravity
+    invariants = (
+        config.sim.dt, m, body.f0, body.f1, body.f4, rw, gr,
+        d.transmission_efficiency, d.max_friction_brake_force,
+        d.regen_efficiency, d.regen_cutoff_speed,
+        motor.max_torque, motor.max_speed, motor.efficiency,
+        drv.kp, drv.ki, drv.command_min, drv.command_max,
+        vn, bat.internal_resistance, bat.coulombic_efficiency,
+        motor_rpm_per_kmh(rw, gr),
+        # Left-operand prefixes of the kernel's per-step expressions.
+        mg, body.drag_coefficient * body.frontal_area,
+        RPM_KW_CONSTANT * motor.max_power, 3600.0 * capacity_ah, 0.5 * m,
+        mg * body.f0,
+    )
+    _hoisted = (config, invariants)
+    return invariants
+
+
+def _advance(
+    config: VehicleConfig,
+    cycle: DriveCycle,
+    start: tuple[float, ...],
+    step_limit: int,
+    regen_enabled: bool,
+    stop_at_soc: float | None,
+    repeat: bool,
+    pinned_command: float | None,
+    trace_every: int,
+) -> tuple[tuple, list, tuple, float, bool, tuple | None]:
+    """The simulation kernel: advance ``start`` by ``step_limit`` steps, or
+    fewer once the soc reaches ``stop_at_soc``.
+
+    ``start`` is (t, v, distance, PI integral, soc, terminal voltage,
+    energy out, energy regen); t may lie anywhere in the cycle, but a
+    repeating run must start within its first pass. Returns the end state
+    in that layout; one sequence per TRACE_FIELDS column holding every
+    ``trace_every``-th record (none when 0); the ledger buckets in joules,
+    in EnergyLedger field order; the largest post-step tracking error
+    [km/h]; whether the soc was clamped to [0, 1] on any step; and the last
+    step's record as a tuple in TRACE_FIELDS order (None when no step ran).
+    """
+    (
+        dt, m, f0, f1, f4, rw, gr, eta_t, fric_max, eta_regen, cutoff,
+        tau_max, n_max, eta_m, kp, ki, cmd_lo, cmd_hi, vn, z, eta_c,
+        rpm_per_kmh, mg, cd_af, kw_rpm, charge_as, half_m, static_rr,
+    ) = _invariants(config)
     regen_charging = bool(regen_enabled)
 
     times = cycle._times
@@ -445,7 +440,8 @@ def _advance(
     max_err = 0.0
 
     collect = trace_every > 0
-    cols: list[list[float]] = [[] for _ in TRACE_FIELDS]
+    # Nothing is appended without collection, so empty tuples serve.
+    cols = [[] for _ in TRACE_FIELDS] if collect else [()] * len(TRACE_FIELDS)
     (
         c_t, c_vt, c_v, c_d, c_cmd, c_tau, c_rpm, c_fric,
         c_pb, c_cur, c_volt, c_soc, c_rr, c_wr, c_a,
@@ -663,9 +659,13 @@ def _advance(
         v = v2
         k += 1
 
-    end = _Carry(t, v, dist, integ, soc, vterm, cum_out, cum_regen)
+    end = (t, v, dist, integ, soc, vterm, cum_out, cum_regen)
     ledger_j = (e_out, e_regen, e_kin, e_roll, e_aero, e_fric, e_drive, e_resist)
-    return end, cols, ledger_j, max_err, saturated
+    last = (
+        t, target, v, dist, cmd, tau_signed, rpm, f_fric,
+        p_batt, current, vterm, soc, rr, wr, a,
+    ) if k else None
+    return end, cols, ledger_j, max_err, saturated, last
 
 
 def ledger_check(ledger: EnergyLedger) -> LedgerCheck:

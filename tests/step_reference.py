@@ -335,8 +335,40 @@ def reference_step(
     record carries the post-step time, speed, and target (the pair the next
     command acts on) together with the torques and forces applied during
     the step.
+
+    Raises:
+        ValueError: If ``state.t_s`` is negative, ``config.sim.dt`` is not
+            positive, or any state float the step reads is not finite.
+        EnvelopeError: If the vehicle speed is negative or not finite.
+        DegenerateVoltageError: If the terminal voltage is not >= 1 V.
     """
     return _reference_step(state, cycle, config, regen_enabled, pinned_command)[:2]
+
+
+def _check_client_state(state: SimState, dt: float) -> None:
+    """The checks ``engine.step`` makes before its kernel runs: a bad time or
+    step, speed or voltage raises as the components would for a finite bad
+    value, and no non-finite float reaches them."""
+    finite = math.isfinite
+    if not (state.t_s >= 0.0 and finite(state.t_s)):
+        raise ValueError(f"t must be finite and >= 0 (got {state.t_s})")
+    if not (dt > 0.0 and finite(dt)):
+        raise ValueError(f"dt must be finite and > 0 (got {dt})")
+    speed = state.body.speed_kmh
+    if not (speed >= 0.0 and finite(speed)):
+        raise EnvelopeError(f"vehicle speed must be finite and >= 0 (got {speed})")
+    voltage = state.battery.terminal_voltage
+    if not (voltage >= VOLTAGE_FLOOR and finite(voltage)):
+        raise DegenerateVoltageError(f"terminal voltage {voltage} V is not >= 1 V")
+    others = (
+        state.body.distance_km,
+        state.driver.integral,
+        state.battery.soc,
+        state.battery.cumulative_energy_out,
+        state.battery.cumulative_energy_regen,
+    )
+    if not all(finite(x) for x in others):
+        raise ValueError(f"state floats must be finite (got {state})")
 
 
 def _reference_step(state, cycle, config, regen_enabled, pinned_command):
@@ -345,6 +377,7 @@ def _reference_step(state, cycle, config, regen_enabled, pinned_command):
     body = config.body
     d = config.drivetrain
     dt = config.sim.dt
+    _check_client_state(state, dt)
     v_kmh = state.body.speed_kmh
     target = target_speed(cycle, state.t_s)
 

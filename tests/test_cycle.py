@@ -106,6 +106,11 @@ def test_target_speed_rejects_negative_time(udds):
         target_speed(udds, -0.1)
 
 
+def test_target_speed_rejects_nan_time(udds):
+    with pytest.raises(ValueError):
+        target_speed(udds, math.nan)
+
+
 def test_trapezoid_distance():
     c = synth_trapezoid(36.0, 10.0, 10.0)
     stats = cycle_stats(c)

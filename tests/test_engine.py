@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +25,9 @@ from bevsim.dynamics import BodyState
 from bevsim.engine import TRACE_FIELDS
 from bevsim.params import with_overrides
 from bevsim.powertrain import BatteryState
+
+NAN = math.nan
+INF = math.inf
 
 
 def test_all_zero_cycle_is_a_fixed_point(config):
@@ -235,6 +241,76 @@ def test_step_from_client_replaced_mid_cycle_state(config, udds):
     assert final.t_s == pytest.approx(136.05, abs=1e-9)
 
 
+# step() reuses the hoisted invariants of the last config object it saw;
+# these sessions change config between ticks and must never see another's.
+_LAUNCH = DriveCycle("launch", np.array([0.0, 20.0, 40.0]), np.array([0.0, 80.0, 0.0]))
+
+
+def _with_mass(config, mass):
+    return dataclasses.replace(config, body=dataclasses.replace(config.body, mass=mass))
+
+
+def _session(config, n):
+    """n uninterrupted step() calls from rest on _LAUNCH: every state and
+    record."""
+    state = initial_state(config)
+    out = []
+    for _ in range(n):
+        state, record = step(state, _LAUNCH, config)
+        out.append((state, record))
+    return out
+
+
+def _session_bits(session):
+    return [(_bits(state), _bits(record)) for state, record in session]
+
+
+def test_interleaved_step_sessions_keep_their_own_configs(config):
+    configs = [_with_mass(config, 1200.0), _with_mass(config, 2400.0)]
+    n = 250
+    want = [_session_bits(_session(cfg, n)) for cfg in configs]
+    assert want[0] != want[1]
+    other = _with_mass(config, 1800.0)
+    states = [initial_state(cfg) for cfg in configs]
+    got = [[], []]
+    for _ in range(n):
+        for i, cfg in enumerate(configs):
+            states[i], record = step(states[i], _LAUNCH, cfg)
+            got[i].append((_bits(states[i]), _bits(record)))
+            run(other, _LAUNCH, max_time=0.5)
+    assert got == want
+
+
+def test_concurrent_step_sessions_keep_their_own_configs(config):
+    configs = [_with_mass(config, 1000.0 + 400.0 * i) for i in range(4)]
+    n = 250
+    want = [_session_bits(_session(cfg, n)) for cfg in configs]
+    got = [None] * len(configs)
+
+    def work(i):
+        got[i] = _session(configs[i], n)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [_session_bits(session) for session in got] == want
+
+
+def test_step_takes_a_replaced_config_on_the_next_tick(config):
+    heavier = _with_mass(config, config.body.mass + 600.0)
+    _, state = _step_matches_reference(config, _LAUNCH, 100)
+    assert step(state, _LAUNCH, heavier)[1] != step(state, _LAUNCH, config)[1]
+    _step_matches_reference(heavier, _LAUNCH, 100, state=state)
+
+
 @pytest.mark.parametrize("route", [step, reference_step])
 @pytest.mark.parametrize(
     "change, dt, error",
@@ -247,8 +323,42 @@ def test_step_from_client_replaced_mid_cycle_state(config, udds):
             0.1,
             DegenerateVoltageError,
         ),
+        (dict(t_s=NAN), 0.1, ValueError),
+        (dict(t_s=INF), 0.1, ValueError),
+        ({}, NAN, ValueError),
+        ({}, INF, ValueError),
+        (dict(body=BodyState(speed_kmh=NAN)), 0.1, EnvelopeError),
+        (dict(body=BodyState(speed_kmh=INF)), 0.1, EnvelopeError),
+        (
+            dict(battery=BatteryState(soc=0.9, terminal_voltage=NAN)),
+            0.1,
+            DegenerateVoltageError,
+        ),
+        (
+            dict(battery=BatteryState(soc=0.9, terminal_voltage=INF)),
+            0.1,
+            DegenerateVoltageError,
+        ),
+        (dict(body=BodyState(distance_km=NAN)), 0.1, ValueError),
+        (dict(driver=DriverState(integral=-INF)), 0.1, ValueError),
+        (dict(battery=BatteryState(soc=NAN, terminal_voltage=350.0)), 0.1, ValueError),
+        (
+            dict(battery=BatteryState(0.9, 350.0, cumulative_energy_out=INF)),
+            0.1,
+            ValueError,
+        ),
+        (
+            dict(battery=BatteryState(0.9, 350.0, cumulative_energy_regen=NAN)),
+            0.1,
+            ValueError,
+        ),
     ],
-    ids=["negative-time", "zero-dt", "negative-speed", "collapsed-voltage"],
+    ids=[
+        "negative-time", "zero-dt", "negative-speed", "collapsed-voltage",
+        "nan-time", "inf-time", "nan-dt", "inf-dt", "nan-speed", "inf-speed",
+        "nan-voltage", "inf-voltage", "nan-distance", "inf-integral", "nan-soc",
+        "inf-energy-out", "nan-energy-regen",
+    ],
 )
 def test_step_rejects_invalid_client_state(config, udds, route, change, dt, error):
     cfg = with_overrides(config, sim={"dt": dt})
