@@ -265,6 +265,12 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--repeat must be >= 1 (got {args.repeat})")
     if args.every < 1:
         raise ConfigError(f"--every must be >= 1 (got {args.every})")
+    if (args.repeat - 1) * cycle.duration_s >= config.sim.max_sim_time:
+        # Checked before the copies are built: the last could never run.
+        raise ConfigError(
+            f"--repeat {args.repeat} starts its last copy at or past "
+            f"sim.max_sim_time ({config.sim.max_sim_time:g} s)"
+        )
     if args.repeat > 1:
         cycle = repeat(cycle, args.repeat)
     trace_every = args.every if (args.out or args.plot) else 0

@@ -1,23 +1,7 @@
-"""Closed-loop speed controller state.
+"""Closed-loop speed controller: a module with no code of its own.
 
 The PI controller and the regen-first braking split run inside the engine
-kernel (``engine._advance``); this module holds the controller memory that
-``SimState`` carries between steps.
+kernel (``engine._advance``), and the controller's integral rides in
+``engine.SimState``. The module is kept because the benchmark's traced run
+imports every layer of the package by name, ``driver`` among them.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class DriverState:
-    """Controller memory across steps.
-
-    Args:
-        integral: Accumulated speed error [km/h * s].
-        last_command: Previous output, in [-1, 1].
-    """
-
-    integral: float = 0.0
-    last_command: float = 0.0

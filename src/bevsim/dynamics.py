@@ -1,4 +1,4 @@
-"""Vehicle body state and the resistive road-load formulas.
+"""The resistive road-load formulas.
 
 The force balance and the speed/distance integration run inside the engine
 kernel (``engine._advance``). The two road-load formulas stay here as
@@ -9,24 +9,7 @@ constant absorbs air density and the unit change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .params import VehicleBodyParams
-
-
-@dataclass(frozen=True)
-class BodyState:
-    """Translational state of the vehicle.
-
-    Args:
-        speed_kmh: Vehicle speed [km/h], >= 0 (no reverse).
-        distance_km: Cumulative distance [km], non-decreasing.
-        acceleration_ms2: Most recently applied acceleration [m/s^2].
-    """
-
-    speed_kmh: float = 0.0
-    distance_km: float = 0.0
-    acceleration_ms2: float = 0.0
 
 
 def rolling_resistance(body: VehicleBodyParams, speed_kmh: float) -> float:

@@ -28,16 +28,17 @@ Engine-level rules on top of the per-step formulas:
 All per-step physics lives in one private kernel, ``_advance``: the PI
 controller, the braking split, the road loads, the force balance and
 integration, the motor envelope, the electrical conversion and the battery
-update. ``driver``, ``dynamics`` and ``powertrain`` hold only the state
-types, ``initial_battery_state`` and the road-load formulas that the
-experiments' force-balance oracles evaluate. ``run`` calls the kernel
-once for a whole run; ``step`` calls it for a single step from a
-client-held ``SimState``, with no trace collection, and builds its record
-from the last-step tuple the kernel returns. The test suite composes the
-same physics from separate component operations
-(``tests/step_reference.py``) and checks both entry points against it bit
-for bit. Runs are deterministic: identical config, cycle, and options
-produce bit-identical traces.
+update. ``dynamics`` holds only the road-load formulas that the
+experiments' force-balance oracles evaluate. The public ``SimState`` is
+the kernel's carry: ``_advance`` takes it as its start and returns it as
+its end. ``run`` calls the kernel once for a whole run, from
+``initial_state(config)``; ``step`` hands it the client's ``SimState`` for
+one step, with no trace collection, and returns the end state with a
+record built from the last-step tuple (the fifth of the kernel's five
+return values). The test suite composes the same physics from separate
+component operations and state types (``tests/step_reference.py``) and
+checks both entry points against it bit for bit. Runs are deterministic:
+identical config, cycle, and options produce bit-identical traces.
 
 The kernel's loop invariants (config scalars, hoisted products) come from
 ``_invariants``, which keeps the last config's in one module-level
@@ -45,6 +46,8 @@ The kernel's loop invariants (config scalars, hoisted products) come from
 global load: a ``step()`` session passing one config object hoists once,
 any other config object recomputes, and no caller, in any thread, pairs a
 config with another's values (the slot's reference keeps the id unique).
+A miss validates the config first, so ``run`` and ``step`` both raise
+``ConfigError`` for an invalid one, at one check per config object.
 
 Editing the kernel or ``_invariants``: every double they produce must stay
 bit for bit what the reference computes. A step may hoist a loop-invariant
@@ -65,11 +68,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cycle import DriveCycle
-from .driver import DriverState
-from .dynamics import BodyState
 from .errors import ConfigError, DegenerateVoltageError, EnvelopeError
 from .params import RPM_KW_CONSTANT, VehicleConfig, motor_rpm_per_kmh, validate
-from .powertrain import BatteryState, initial_battery_state
 
 _J_PER_KWH = 3.6e6
 
@@ -80,14 +80,19 @@ class StopReason(enum.Enum):
     MAX_TIME = "max_time"
 
 
-@dataclass(frozen=True)
-class SimState:
-    """Complete instantaneous state of one simulation run."""
+class SimState(NamedTuple):
+    """Complete instantaneous state of one run, in the kernel's carry order;
+    built by ``initial_state`` and edited with ``_replace``."""
 
     t_s: float
-    body: BodyState
-    battery: BatteryState
-    driver: DriverState
+    speed_kmh: float  # >= 0 (no reverse)
+    distance_km: float
+    integral: float  # PI controller integral [km/h * s]
+    soc: float  # in [0, 1]
+    terminal_voltage: float  # last step's [V]
+    cumulative_energy_out: float  # terminal energy while discharging [kWh]
+    cumulative_energy_regen: float  # terminal energy while charging [kWh]
+    soc_saturated: bool  # the soc was ever clamped to [0, 1]
 
 
 class TraceRecord(NamedTuple):
@@ -198,8 +203,11 @@ class SimSummary:
 
 
 def initial_state(config: VehicleConfig) -> SimState:
-    battery = initial_battery_state(config.battery)
-    return SimState(0.0, BodyState(), battery, DriverState())
+    """At rest at t = 0, with the configured initial SoC at nominal voltage."""
+    bat = config.battery
+    return SimState(
+        0.0, 0.0, 0.0, 0.0, bat.initial_soc, bat.nominal_voltage, 0.0, 0.0, False
+    )
 
 
 def step(
@@ -222,44 +230,29 @@ def step(
             positive, or any state float the kernel reads is not finite.
         EnvelopeError: If the vehicle speed is negative or not finite.
         DegenerateVoltageError: If the terminal voltage is not >= 1 V.
+        ConfigError: If the config fails validation.
     """
-    t = state.t_s
+    t, v, dist, integ, soc, vterm, out, regen, _ = state
     dt = config.sim.dt
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0 (got {t})")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0 (got {dt})")
-    body = state.body
-    battery = state.battery
-    v = body.speed_kmh
     if not 0.0 <= v < math.inf:
         raise EnvelopeError(f"vehicle speed must be finite and >= 0 (got {v})")
-    vterm = battery.terminal_voltage
     if not 1.0 <= vterm < math.inf:
         raise DegenerateVoltageError(
             f"terminal voltage {vterm} V is not a finite value >= 1 V"
         )
-    dist = body.distance_km
-    integ = state.driver.integral
-    soc = battery.soc
-    out = battery.cumulative_energy_out
-    regen = battery.cumulative_energy_regen
     if not (
         math.isfinite(dist) and math.isfinite(integ) and math.isfinite(soc)
         and math.isfinite(out) and math.isfinite(regen)
     ):
         raise ValueError(f"state floats must be finite (got {state})")
-    end, _, _, _, saturated, last = _advance(
-        config, cycle, (t, v, dist, integ, soc, vterm, out, regen), 1,
-        regen_enabled, None, False, pinned_command, 0,
+    end, _, _, _, last = _advance(
+        config, cycle, state, 1, regen_enabled, None, False, pinned_command, 0
     )
-    t, v, dist, integ, soc, vterm, out, regen = end
-    return SimState(
-        t,
-        BodyState(v, dist, last[14]),
-        BatteryState(soc, vterm, out, regen, battery.soc_saturated or saturated),
-        DriverState(integ, last[4]),
-    ), TraceRecord(*last)
+    return end, TraceRecord(*last)
 
 
 def _steps_for(duration_s: float, dt: float) -> int:
@@ -282,12 +275,14 @@ def run(
     pinned_command: float | None = None,
     trace_every: int = 1,
 ) -> tuple[SimTrace, SimSummary, EnergyLedger]:
-    """Run the closed loop until a stop condition fires.
+    """Run the closed loop from ``initial_state`` until a stop condition.
 
     Stop priority: soc floor, then max time, then cycle end. With
     ``repeat=True`` the cycle wraps around until the soc floor or time
-    limit. Without ``max_time``, sim.max_sim_time bounds every run: a
-    repeated or soc-floor run, and a single pass whose cycle is longer.
+    limit. sim.max_sim_time bounds every run: a repeated or soc-floor run,
+    and a single pass whose cycle is longer. ``max_time`` only shortens a
+    run below that bound; a cycle ending on the bound's last step reports
+    its cycle end, one ending on ``max_time``'s last step its max time.
     ``trace_every`` keeps every Nth record (0 disables collection; the
     ledger and summary always run at full rate).
 
@@ -297,9 +292,7 @@ def run(
             finite.
         DegenerateVoltageError: If the terminal voltage collapses mid-run.
     """
-    violations = validate(config)
-    if violations:
-        raise ConfigError("invalid configuration: " + "; ".join(violations))
+    _invariants(config)
     if trace_every < 0:
         raise ValueError(f"trace_every must be >= 0 (got {trace_every})")
     if max_time is not None and not math.isfinite(max_time):
@@ -309,26 +302,23 @@ def run(
     dt = config.sim.dt
     duration = cycle.duration_s
 
-    cycle_steps = None if repeat else _steps_for(duration, dt)
+    cycle_steps = math.inf if repeat else _steps_for(duration, dt)
+    time_steps = _steps_for(config.sim.max_sim_time, dt)
+    time_limited = time_steps < cycle_steps
     if max_time is not None:
-        time_steps = _steps_for(max_time, dt)
-    elif repeat or stop_at_soc is not None:
-        time_steps = _steps_for(config.sim.max_sim_time, dt)
-    else:
-        # A single pass that fits the budget still ends at its cycle end.
-        budget = _steps_for(config.sim.max_sim_time, dt)
-        time_steps = budget if budget < cycle_steps else None
-    limits = [s for s in (cycle_steps, time_steps) if s is not None]
-    step_limit = min(limits)
-    time_limited = time_steps is not None and time_steps <= step_limit
+        asked = _steps_for(max_time, dt)
+        if asked <= time_steps:
+            # max_time outranks a cycle end on the same step.
+            time_steps = asked
+            time_limited = asked <= cycle_steps
+    step_limit = min(cycle_steps, time_steps)
 
-    start = (0.0, 0.0, 0.0, 0.0, bat.initial_soc, bat.nominal_voltage, 0.0, 0.0)
-    end, cols, ledger_j, max_err, _, _ = _advance(
-        config, cycle, start, step_limit,
+    end, cols, ledger_j, max_err, _ = _advance(
+        config, cycle, initial_state(config), step_limit,
         regen_enabled=regen_enabled, stop_at_soc=stop_at_soc, repeat=repeat,
         pinned_command=pinned_command, trace_every=trace_every,
     )
-    t, _, dist, _, soc, _, energy_out, energy_regen = end
+    t, _, dist, _, soc, _, energy_out, energy_regen, _ = end
     # The kernel stops early only at the soc floor, which also outranks a
     # step limit reached on the same step.
     if stop_at_soc is not None and soc <= stop_at_soc:
@@ -363,11 +353,15 @@ _hoisted: tuple = (None, ())  # (config, invariants) of the last config seen
 
 def _invariants(config: VehicleConfig) -> tuple[float, ...]:
     """The kernel's loop invariants for ``config``, in the order ``_advance``
-    unpacks them; computed once per config object (see the module notes)."""
+    unpacks them; validated (else ``ConfigError``) and computed once per
+    config object (see the module notes)."""
     global _hoisted
     cached_config, cached = _hoisted
     if cached_config is config:
         return cached
+    violations = validate(config)
+    if violations:
+        raise ConfigError("invalid configuration: " + "; ".join(violations))
     body = config.body
     motor = config.motor
     bat = config.battery
@@ -400,24 +394,24 @@ def _invariants(config: VehicleConfig) -> tuple[float, ...]:
 def _advance(
     config: VehicleConfig,
     cycle: DriveCycle,
-    start: tuple[float, ...],
+    start: SimState,
     step_limit: int,
     regen_enabled: bool,
     stop_at_soc: float | None,
     repeat: bool,
     pinned_command: float | None,
     trace_every: int,
-) -> tuple[tuple, list, tuple, float, bool, tuple | None]:
+) -> tuple[SimState, list, tuple, float, tuple | None]:
     """The simulation kernel: advance ``start`` by ``step_limit`` steps, or
     fewer once the soc reaches ``stop_at_soc``.
 
-    ``start`` is (t, v, distance, PI integral, soc, terminal voltage,
-    energy out, energy regen); t may lie anywhere in the cycle, but a
-    repeating run must start within its first pass. Returns the end state
-    in that layout; one sequence per TRACE_FIELDS column holding every
-    ``trace_every``-th record (none when 0); the ledger buckets in joules,
-    in EnergyLedger field order; the largest post-step tracking error
-    [km/h]; whether the soc was clamped to [0, 1] on any step; and the last
+    The carry is a ``SimState``: (t, v, distance, PI integral, soc,
+    terminal voltage, energy out, energy regen, soc saturated). t may lie
+    anywhere in the cycle, but a repeating run must start within its first
+    pass; a step that clamps the soc sets the flag. Returns the end state;
+    one sequence per TRACE_FIELDS column holding every ``trace_every``-th
+    record (none when 0); the ledger buckets in joules, in EnergyLedger
+    field order; the largest post-step tracking error [km/h]; and the last
     step's record as a tuple in TRACE_FIELDS order (None when no step ran).
     """
     (
@@ -432,8 +426,7 @@ def _advance(
     duration = times[-1]
     v_last = speeds[-1]
 
-    t, v, dist, integ, soc, vterm, cum_out, cum_regen = start
-    saturated = False
+    t, v, dist, integ, soc, vterm, cum_out, cum_regen, saturated = start
 
     # Ledger accumulators [J] and tracking-error maximum.
     e_out = e_regen = e_resist = e_roll = e_aero = e_fric = e_drive = e_kin = 0.0
@@ -659,13 +652,13 @@ def _advance(
         v = v2
         k += 1
 
-    end = (t, v, dist, integ, soc, vterm, cum_out, cum_regen)
+    end = SimState(t, v, dist, integ, soc, vterm, cum_out, cum_regen, saturated)
     ledger_j = (e_out, e_regen, e_kin, e_roll, e_aero, e_fric, e_drive, e_resist)
     last = (
         t, target, v, dist, cmd, tau_signed, rpm, f_fric,
         p_batt, current, vterm, soc, rr, wr, a,
     ) if k else None
-    return end, cols, ledger_j, max_err, saturated, last
+    return end, cols, ledger_j, max_err, last
 
 
 def ledger_check(ledger: EnergyLedger) -> LedgerCheck:

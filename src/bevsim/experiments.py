@@ -222,8 +222,10 @@ def accel_test(config: VehicleConfig, target_kmh: float = 100.0) -> AccelReport:
             f"top speed {vmax:.1f} km/h"
         )
     # A shorter run from rest is an exact prefix of a longer one, so the
-    # horizon doubles up to the cap until it holds the crossing.
-    horizon = _FIRST_ACCEL_HORIZON_S
+    # horizon doubles up to the cap (or sim.max_sim_time, when shorter)
+    # until it holds the crossing.
+    cap = min(_FULL_THROTTLE_TIME_CAP_S, config.sim.max_sim_time)
+    horizon = min(_FIRST_ACCEL_HORIZON_S, cap)
     while True:
         trace, _, _ = run(
             config,
@@ -233,13 +235,12 @@ def accel_test(config: VehicleConfig, target_kmh: float = 100.0) -> AccelReport:
             repeat=True,
         )
         t_cross, idx = _crossing_time(trace.t_s, trace.v_kmh, target_kmh)
-        if t_cross is not None or horizon >= _FULL_THROTTLE_TIME_CAP_S:
+        if t_cross is not None or horizon >= cap:
             break
-        horizon = min(2.0 * horizon, _FULL_THROTTLE_TIME_CAP_S)
+        horizon = min(2.0 * horizon, cap)
     if t_cross is None:
         raise UnreachableTargetError(
-            f"{target_kmh:g} km/h not reached within "
-            f"{_FULL_THROTTLE_TIME_CAP_S:g} s"
+            f"{target_kmh:g} km/h not reached within {cap:g} s"
         )
     trajectory = tuple(
         (float(t), float(v))
@@ -305,7 +306,8 @@ def accel_time_oracle(
 
 
 def top_speed_test(config: VehicleConfig, duration: float = 120.0) -> TopSpeedReport:
-    """Full-throttle settled speed, compared against the force-balance root."""
+    """Full-throttle settled speed over ``duration`` (at most
+    sim.max_sim_time), compared against the force-balance root."""
     trace, _, _ = run(
         config,
         _full_throttle_cycle(),

@@ -10,8 +10,11 @@ in the documented order. Tests compare both ``engine.run`` and
 engine's physics must be made here as well. ``reference_run`` iterates the
 reference step and accumulates the energy ledger and the tracking error the
 way the kernel does, so ``run``'s summary and ledger can be checked bit for
-bit too. The component operations have their own unit tests in
-``test_driver``, ``test_dynamics`` and ``test_powertrain``.
+bit too. The components carry their own state types (``DriverState``,
+``BodyState``, ``BatteryState``); the reference step builds them from the
+engine's flat ``SimState`` and flattens its result back into one. The
+component operations have their own unit tests in ``test_driver``,
+``test_dynamics`` and ``test_powertrain``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 from bevsim.cycle import DriveCycle, target_speed
-from bevsim.driver import DriverState
-from bevsim.dynamics import BodyState, aero_drag, rolling_resistance
+from bevsim.dynamics import aero_drag, rolling_resistance
 from bevsim.engine import (
     EnergyLedger,
     SimState,
@@ -38,7 +40,6 @@ from bevsim.params import (
     MotorParams,
     VehicleConfig,
 )
-from bevsim.powertrain import BatteryState
 
 # Below this terminal voltage the current computation is meaningless.
 VOLTAGE_FLOOR = 1.0
@@ -51,6 +52,19 @@ VOLTAGE_FLOOR = 1.0
 # regen-first: the motor absorbs as much of the demanded wheel force as its
 # torque envelope allows (unless the vehicle is below the cutoff speed), and
 # the friction system supplies the remainder up to its cap.
+
+
+@dataclass(frozen=True)
+class DriverState:
+    """Controller memory across steps.
+
+    Args:
+        integral: Accumulated speed error [km/h * s].
+        last_command: Previous output, in [-1, 1].
+    """
+
+    integral: float = 0.0
+    last_command: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -158,6 +172,21 @@ def split_command(
 
 
 @dataclass(frozen=True)
+class BodyState:
+    """Translational state of the vehicle.
+
+    Args:
+        speed_kmh: Vehicle speed [km/h], >= 0 (no reverse).
+        distance_km: Cumulative distance [km], non-decreasing.
+        acceleration_ms2: Most recently applied acceleration [m/s^2].
+    """
+
+    speed_kmh: float = 0.0
+    distance_km: float = 0.0
+    acceleration_ms2: float = 0.0
+
+
+@dataclass(frozen=True)
 class ForceBreakdown:
     """Per-step wheel-level forces [N]; all components non-negative.
 
@@ -210,6 +239,30 @@ def integrate(state: BodyState, accel_ms2: float, dt: float) -> BodyState:
 # always reduce the through-power, in both directions: an electric machine
 # draws more electrical power than it delivers mechanically when propelling,
 # and delivers less electrical power than it absorbs when generating.
+
+
+@dataclass(frozen=True)
+class BatteryState:
+    """Battery bookkeeping carried across steps.
+
+    Args:
+        soc: State of charge, fraction in [0, 1].
+        terminal_voltage: Last terminal voltage [V].
+        cumulative_energy_out: Terminal energy delivered while discharging [kWh].
+        cumulative_energy_regen: Terminal energy absorbed while charging [kWh].
+        soc_saturated: True once the SoC ever hit a [0, 1] bound and was clamped.
+    """
+
+    soc: float
+    terminal_voltage: float
+    cumulative_energy_out: float = 0.0
+    cumulative_energy_regen: float = 0.0
+    soc_saturated: bool = False
+
+
+def initial_battery_state(params: BatteryParams) -> BatteryState:
+    """Fresh battery state at the configured initial SoC."""
+    return BatteryState(soc=params.initial_soc, terminal_voltage=params.nominal_voltage)
 
 
 def available_torque(motor: MotorParams, speed_rpm: float) -> float:
@@ -354,18 +407,18 @@ def _check_client_state(state: SimState, dt: float) -> None:
         raise ValueError(f"t must be finite and >= 0 (got {state.t_s})")
     if not (dt > 0.0 and finite(dt)):
         raise ValueError(f"dt must be finite and > 0 (got {dt})")
-    speed = state.body.speed_kmh
+    speed = state.speed_kmh
     if not (speed >= 0.0 and finite(speed)):
         raise EnvelopeError(f"vehicle speed must be finite and >= 0 (got {speed})")
-    voltage = state.battery.terminal_voltage
+    voltage = state.terminal_voltage
     if not (voltage >= VOLTAGE_FLOOR and finite(voltage)):
         raise DegenerateVoltageError(f"terminal voltage {voltage} V is not >= 1 V")
     others = (
-        state.body.distance_km,
-        state.driver.integral,
-        state.battery.soc,
-        state.battery.cumulative_energy_out,
-        state.battery.cumulative_energy_regen,
+        state.distance_km,
+        state.integral,
+        state.soc,
+        state.cumulative_energy_out,
+        state.cumulative_energy_regen,
     )
     if not all(finite(x) for x in others):
         raise ValueError(f"state floats must be finite (got {state})")
@@ -378,14 +431,24 @@ def _reference_step(state, cycle, config, regen_enabled, pinned_command):
     d = config.drivetrain
     dt = config.sim.dt
     _check_client_state(state, dt)
-    v_kmh = state.body.speed_kmh
+    # The components' own states, built from the flat client state.
+    body_state = BodyState(speed_kmh=state.speed_kmh, distance_km=state.distance_km)
+    battery_state = BatteryState(
+        soc=state.soc,
+        terminal_voltage=state.terminal_voltage,
+        cumulative_energy_out=state.cumulative_energy_out,
+        cumulative_energy_regen=state.cumulative_energy_regen,
+        soc_saturated=state.soc_saturated,
+    )
+    driver_state = DriverState(integral=state.integral)
+    v_kmh = body_state.speed_kmh
     target = target_speed(cycle, state.t_s)
 
     if pinned_command is None:
-        cmd, driver_state = pi_step(state.driver, target, v_kmh, dt, config.driver)
+        cmd, driver_state = pi_step(driver_state, target, v_kmh, dt, config.driver)
     else:
         cmd = pinned_command
-        driver_state = DriverState(integral=state.driver.integral, last_command=cmd)
+        driver_state = DriverState(integral=driver_state.integral, last_command=cmd)
 
     rpm = (
         d.gear_ratio * (60.0 / math.tau) / (3.6 * body.wheel_radius)
@@ -432,7 +495,7 @@ def _reference_step(state, cycle, config, regen_enabled, pinned_command):
             )
             forces = ForceBreakdown(f_p, f_regen, f_fric, rr, wr)
             a = -v_ms / dt
-        new_body = integrate(state.body, a, dt)
+        new_body = integrate(body_state, a, dt)
     else:
         # At rest: resistances report zero; launch only past the static
         # rolling threshold, against zero resistance for this step.
@@ -447,7 +510,7 @@ def _reference_step(state, cycle, config, regen_enabled, pinned_command):
             f_p = 0.0
             forces = ForceBreakdown()
         a = acceleration(forces, body.mass)
-        new_body = integrate(state.body, a, dt)
+        new_body = integrate(body_state, a, dt)
 
     if tau_p > 0.0:
         tau_signed = tau_p
@@ -460,8 +523,8 @@ def _reference_step(state, cycle, config, regen_enabled, pinned_command):
         p_batt = (p_elec * d.regen_efficiency if regen_enabled else 0.0) + 0.0
     else:
         p_batt = p_elec
-    current = motor_current(p_batt, state.battery.terminal_voltage) + 0.0
-    new_battery = battery_step(state.battery, current, dt, config.battery)
+    current = motor_current(p_batt, battery_state.terminal_voltage) + 0.0
+    new_battery = battery_step(battery_state, current, dt, config.battery)
 
     t2 = state.t_s + dt
     record = TraceRecord(
@@ -483,9 +546,14 @@ def _reference_step(state, cycle, config, regen_enabled, pinned_command):
     )
     new_state = SimState(
         t_s=t2,
-        body=new_body,
-        battery=new_battery,
-        driver=driver_state,
+        speed_kmh=new_body.speed_kmh,
+        distance_km=new_body.distance_km,
+        integral=driver_state.integral,
+        soc=new_battery.soc,
+        terminal_voltage=new_battery.terminal_voltage,
+        cumulative_energy_out=new_battery.cumulative_energy_out,
+        cumulative_energy_regen=new_battery.cumulative_energy_regen,
+        soc_saturated=new_battery.soc_saturated,
     )
     return new_state, record, f_p, f_regen
 
@@ -515,7 +583,7 @@ def reference_run(
     state = initial_state(config)
     records = []
     for _ in range(n):
-        v = state.body.speed_kmh
+        v = state.speed_kmh
         state, rec, f_p, f_regen = _reference_step(
             state, cycle, config, regen_enabled, pinned_command
         )
@@ -546,15 +614,15 @@ def reference_run(
     cycle_max = max(cycle._speeds)
     summary = SimSummary(
         duration_s=t,
-        distance_km=state.body.distance_km,
+        distance_km=state.distance_km,
         soc_start=bat.initial_soc,
-        soc_end=state.battery.soc,
+        soc_end=state.soc,
         max_tracking_error_kmh=max_err,
         max_tracking_error_pct=(
             100.0 * max_err / cycle_max if cycle_max > 0.0 else 0.0
         ),
-        energy_out_kwh=state.battery.cumulative_energy_out,
-        energy_regen_kwh=state.battery.cumulative_energy_regen,
+        energy_out_kwh=state.cumulative_energy_out,
+        energy_regen_kwh=state.cumulative_energy_regen,
         cycles_completed=int((t + dt * 1e-6) / cycle.duration_s),
         stop_reason=StopReason.MAX_TIME,
     )

@@ -141,10 +141,13 @@ def test_a6_dt_refinement(config, udds):
 
 
 def test_a7_formula_unit_checks(config):
-    from step_reference import battery_step, motor_electrical_power
+    from step_reference import (
+        battery_step,
+        initial_battery_state,
+        motor_electrical_power,
+    )
 
     from bevsim import aero_drag, rolling_resistance
-    from bevsim.powertrain import initial_battery_state
 
     checks = []
     rr = rolling_resistance(config.body, 60.0)

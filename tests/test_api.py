@@ -9,17 +9,22 @@ from pathlib import Path
 
 import bevsim
 
-# Component operations that moved to step_reference, and derived-quantity
-# helpers that were deleted. None may come back into the package.
+# Component operations and state types that moved to step_reference, and
+# derived-quantity helpers that were deleted. None may come back into the
+# package.
 REMOVED = {
     "ActuationRequest",
+    "BatteryState",
+    "BodyState",
     "DerivedParams",
+    "DriverState",
     "ForceBreakdown",
     "VOLTAGE_FLOOR",
     "acceleration",
     "available_torque",
     "battery_step",
     "derived_quantities",
+    "initial_battery_state",
     "integrate",
     "motor_current",
     "motor_electrical_power",

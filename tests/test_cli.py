@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bevsim import PlotError, parse_config, run, synth_trapezoid
+from bevsim import PlotError, cli, parse_config, run, synth_trapezoid
 from bevsim.cli import build_parser, emit_trace, main
 from bevsim.cycle import serialize_cycle
 from bevsim.engine import TRACE_FIELDS, SimTrace
@@ -380,6 +380,29 @@ def test_simulate_repeat_flag(short_cycle_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["duration_s"] == pytest.approx(75.0, abs=1e-6)
     assert main(["simulate", "--cycle", short_cycle_path, "--repeat", "0"]) == 1
+
+
+def test_simulate_repeat_past_max_sim_time_exits_one(
+    tmp_path, short_cycle_path, capsys, monkeypatch
+):
+    # The cycle lasts 25 s, so with a 50 s bound a third copy would start
+    # on the bound: refused before any copy is built.
+    config = tmp_path / "vehicle.json"
+    config.write_text('{"sim": {"max_sim_time": 50}}')
+    args = ["simulate", "--config", str(config), "--cycle", short_cycle_path]
+
+    def no_repeat(*_):
+        raise AssertionError("cycle.repeat called")
+
+    monkeypatch.setattr(cli, "repeat", no_repeat)
+    for n in ("3", "1000000000"):
+        code = main(args + ["--repeat", n])
+        _assert_one_line_error(capsys, code, "sim.max_sim_time")
+    monkeypatch.undo()
+    assert main(args + ["--repeat", "2"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["duration_s"] == pytest.approx(50.0, abs=1e-6)
+    assert summary["stop_reason"] == "cycle_end"
 
 
 def test_every_subcommand_documents_every_flag():

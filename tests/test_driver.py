@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from step_reference import available_torque, pi_step, split_command
+from step_reference import DriverState, available_torque, pi_step, split_command
 
-from bevsim import DriverState
 from bevsim.params import DriverParams, motor_rpm_per_kmh, with_overrides
 
 GAINS = DriverParams(kp=0.4, ki=0.1)

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from step_reference import ForceBreakdown, acceleration, integrate
+from step_reference import BodyState, ForceBreakdown, acceleration, integrate
 
-from bevsim import BodyState, aero_drag, rolling_resistance
+from bevsim import aero_drag, rolling_resistance
 from bevsim.params import VehicleBodyParams
 
 

@@ -5,10 +5,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from step_reference import reference_run, reference_step
 
 from bevsim import (
+    ConfigError,
     DegenerateVoltageError,
     DriveCycle,
     EnvelopeError,
@@ -20,11 +23,8 @@ from bevsim import (
     synth_trapezoid,
 )
 from bevsim.cycle import target_speed
-from bevsim.driver import DriverState
-from bevsim.dynamics import BodyState
 from bevsim.engine import TRACE_FIELDS
 from bevsim.params import with_overrides
-from bevsim.powertrain import BatteryState
 
 NAN = math.nan
 INF = math.inf
@@ -57,7 +57,7 @@ def test_launch_step_accelerates_at_standstill_force_over_mass(config):
     assert rec.accel_ms2 == pytest.approx(2.259, abs=1e-3)
     assert rec.rr_n == 0.0 and rec.wr_n == 0.0
     assert rec.current_a == 0.0  # no electrical draw at zero shaft speed
-    assert new.body.speed_kmh > 0.0
+    assert new.speed_kmh > 0.0
 
 
 def test_sub_threshold_command_does_not_creep(config):
@@ -65,7 +65,7 @@ def test_sub_threshold_command_does_not_creep(config):
     cycle = synth_trapezoid(100.0, 9.5, 0.0)
     state = initial_state(config)
     new, rec = step(state, cycle, config, pinned_command=0.05)
-    assert new.body.speed_kmh == 0.0
+    assert new.speed_kmh == 0.0
     assert rec.accel_ms2 == 0.0
 
 
@@ -159,12 +159,6 @@ def test_stop_clamp_sheds_friction_before_regen(config):
     # Constructed state inside the narrow band where regen alone cannot
     # stop the car but regen plus full friction would reverse it: friction
     # must shrink to the exact remainder and the step must end at rest.
-    import dataclasses
-
-    from bevsim import synth_trapezoid
-    from bevsim.dynamics import BodyState
-    from bevsim.params import with_overrides
-
     cfg = with_overrides(
         config,
         sim={"dt": 0.5},
@@ -172,12 +166,10 @@ def test_stop_clamp_sheds_friction_before_regen(config):
         motor={"max_torque": 120.0, "rated_torque": 60.0, "rated_power": 18.85},
         drivetrain={"regen_cutoff_speed": 0.5},
     )
-    state = dataclasses.replace(
-        initial_state(cfg), body=BodyState(speed_kmh=6.0)
-    )
+    state = initial_state(cfg)._replace(speed_kmh=6.0)
     cycle = synth_trapezoid(0.0, 1.0, 60.0)
     new, rec = step(state, cycle, cfg, pinned_command=-1.0)
-    assert new.body.speed_kmh == 0.0
+    assert new.speed_kmh == 0.0
     cap_wheel = 120.0 * 4.8 / (0.9 * 0.284)
     brake_needed = (
         900.0 * (6.0 / 3.6) / 0.5
@@ -222,22 +214,23 @@ def test_step_past_cycle_end_holds_last_target(config):
     past_end = [r for r in records if r.t_s >= 10.0]
     assert len(past_end) > 100
     assert all(r.v_target_kmh == 50.0 for r in past_end)
-    assert state.body.speed_kmh == pytest.approx(50.0, abs=1.0)
+    assert state.speed_kmh == pytest.approx(50.0, abs=1.0)
 
 
 def test_step_from_client_replaced_mid_cycle_state(config, udds):
     # A co-simulation client may hand step() any state: here mid-interval
     # on a UDDS braking segment with a full battery, so regen clamps the
     # SoC at 1 and the saturation flag must be reported.
-    state = dataclasses.replace(
-        initial_state(config),
+    state = initial_state(config)._replace(
         t_s=106.05,
-        body=BodyState(speed_kmh=48.0, distance_km=0.6),
-        battery=BatteryState(soc=1.0, terminal_voltage=351.0),
-        driver=DriverState(integral=-3.0, last_command=-0.2),
+        speed_kmh=48.0,
+        distance_km=0.6,
+        integral=-3.0,
+        soc=1.0,
+        terminal_voltage=351.0,
     )
     _, final = _step_matches_reference(config, udds, 300, state=state)
-    assert final.battery.soc_saturated
+    assert final.soc_saturated
     assert final.t_s == pytest.approx(136.05, abs=1e-9)
 
 
@@ -317,41 +310,21 @@ def test_step_takes_a_replaced_config_on_the_next_tick(config):
     [
         (dict(t_s=-0.1), 0.1, ValueError),
         ({}, 0.0, ValueError),
-        (dict(body=BodyState(speed_kmh=-1.0)), 0.1, EnvelopeError),
-        (
-            dict(battery=BatteryState(soc=0.9, terminal_voltage=0.5)),
-            0.1,
-            DegenerateVoltageError,
-        ),
+        (dict(speed_kmh=-1.0), 0.1, EnvelopeError),
+        (dict(terminal_voltage=0.5), 0.1, DegenerateVoltageError),
         (dict(t_s=NAN), 0.1, ValueError),
         (dict(t_s=INF), 0.1, ValueError),
         ({}, NAN, ValueError),
         ({}, INF, ValueError),
-        (dict(body=BodyState(speed_kmh=NAN)), 0.1, EnvelopeError),
-        (dict(body=BodyState(speed_kmh=INF)), 0.1, EnvelopeError),
-        (
-            dict(battery=BatteryState(soc=0.9, terminal_voltage=NAN)),
-            0.1,
-            DegenerateVoltageError,
-        ),
-        (
-            dict(battery=BatteryState(soc=0.9, terminal_voltage=INF)),
-            0.1,
-            DegenerateVoltageError,
-        ),
-        (dict(body=BodyState(distance_km=NAN)), 0.1, ValueError),
-        (dict(driver=DriverState(integral=-INF)), 0.1, ValueError),
-        (dict(battery=BatteryState(soc=NAN, terminal_voltage=350.0)), 0.1, ValueError),
-        (
-            dict(battery=BatteryState(0.9, 350.0, cumulative_energy_out=INF)),
-            0.1,
-            ValueError,
-        ),
-        (
-            dict(battery=BatteryState(0.9, 350.0, cumulative_energy_regen=NAN)),
-            0.1,
-            ValueError,
-        ),
+        (dict(speed_kmh=NAN), 0.1, EnvelopeError),
+        (dict(speed_kmh=INF), 0.1, EnvelopeError),
+        (dict(terminal_voltage=NAN), 0.1, DegenerateVoltageError),
+        (dict(terminal_voltage=INF), 0.1, DegenerateVoltageError),
+        (dict(distance_km=NAN), 0.1, ValueError),
+        (dict(integral=-INF), 0.1, ValueError),
+        (dict(soc=NAN), 0.1, ValueError),
+        (dict(cumulative_energy_out=INF), 0.1, ValueError),
+        (dict(cumulative_energy_regen=NAN), 0.1, ValueError),
     ],
     ids=[
         "negative-time", "zero-dt", "negative-speed", "collapsed-voltage",
@@ -362,9 +335,67 @@ def test_step_takes_a_replaced_config_on_the_next_tick(config):
 )
 def test_step_rejects_invalid_client_state(config, udds, route, change, dt, error):
     cfg = with_overrides(config, sim={"dt": dt})
-    state = dataclasses.replace(initial_state(cfg), **change)
+    state = initial_state(cfg)._replace(**change)
     with pytest.raises(error):
         route(state, udds, cfg)
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [(dict(body={"mass": NAN}), "body.mass"), (dict(sim={"dt": 5.0}), "sim.dt")],
+    ids=["nan-mass", "coarse-dt"],
+)
+def test_step_rejects_an_invalid_config(config, udds, change, field):
+    # Validated when the config's invariants are first hoisted; an invalid
+    # config is never cached, so every call raises, as run() does.
+    bad = with_overrides(config, **change)
+    state = initial_state(bad)
+    for _ in range(2):
+        with pytest.raises(ConfigError, match=f"invalid configuration: {field}"):
+            step(state, udds, bad)
+    with pytest.raises(ConfigError, match=field):
+        run(bad, udds)
+
+
+# Finite client states anywhere in and past the UDDS cycle (1369 s).
+_CLIENT_STATES = st.fixed_dictionaries({
+    "t_s": st.floats(0.0, 2000.0),
+    "speed_kmh": st.floats(0.0, 150.0),
+    "distance_km": st.floats(0.0, 1e3),
+    "integral": st.floats(-1e3, 1e3),
+    "soc": st.floats(0.0, 1.0),
+    "terminal_voltage": st.floats(1.0, 1e3),
+    "cumulative_energy_out": st.floats(0.0, 1e3),
+    "cumulative_energy_regen": st.floats(0.0, 1e3),
+    "soc_saturated": st.booleans(),
+})
+
+
+@given(
+    change=_CLIENT_STATES,
+    regen_enabled=st.booleans(),
+    pinned_command=st.none() | st.floats(-1.0, 1.0),
+    n=st.integers(1, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_step_matches_reference_from_any_finite_client_state(
+    config, udds, change, regen_enabled, pinned_command, n
+):
+    # A few steps from the drawn state: each either raises the same
+    # exception type on both routes or agrees on every field as hex.
+    options = dict(regen_enabled=regen_enabled, pinned_command=pinned_command)
+    ref = mine = initial_state(config)._replace(**change)
+    for _ in range(n):
+        try:
+            ref, want = reference_step(ref, udds, config, **options)
+        except Exception as exc:
+            with pytest.raises(Exception) as raised:
+                step(mine, udds, config, **options)
+            assert type(raised.value) is type(exc)
+            return
+        mine, got = step(mine, udds, config, **options)
+        assert _bits(got) == _bits(want)
+        assert _bits(mine) == _bits(ref)
 
 
 def test_runs_are_deterministic(config, udds):
@@ -470,6 +501,30 @@ def test_single_pass_is_bounded_by_max_sim_time(config):
     assert s_fit == s_ref and l_fit == l_ref
     assert s_fit.stop_reason is StopReason.CYCLE_END
     assert np.array_equal(t_fit.v_kmh, t_ref.v_kmh)
+
+
+def test_max_time_only_shortens_a_run_below_max_sim_time(config):
+    cfg = with_overrides(config, sim={"max_sim_time": 10.0})
+    cycle = synth_trapezoid(50.0, 15.0, 10.0)
+    assert cycle.duration_s == 40.0
+    # A longer max_time cannot outlast the bound.
+    trace, summary, _ = run(cfg, cycle, max_time=30.0, repeat=True)
+    assert len(trace) == 100
+    assert summary.duration_s == pytest.approx(10.0, abs=1e-9)
+    assert summary.stop_reason is StopReason.MAX_TIME
+    # A shorter one still binds.
+    trace, summary, _ = run(cfg, cycle, max_time=4.0)
+    assert len(trace) == 40
+    assert summary.stop_reason is StopReason.MAX_TIME
+    # A cycle ending on the bound's last step ends at its cycle end, and one
+    # ending on max_time's last step stops on time, as before.
+    fits = with_overrides(config, sim={"max_sim_time": 40.0})
+    _, summary, _ = run(fits, cycle, max_time=100.0)
+    assert summary.stop_reason is StopReason.CYCLE_END
+    assert summary.duration_s == pytest.approx(40.0, abs=1e-9)
+    _, summary, _ = run(config, cycle, max_time=40.0)
+    assert summary.stop_reason is StopReason.MAX_TIME
+    assert summary.duration_s == pytest.approx(40.0, abs=1e-9)
 
 
 def test_run_rejects_non_finite_max_time(config, udds):

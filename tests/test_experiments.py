@@ -202,6 +202,19 @@ def test_accel_not_reached_within_cap_matches_full_cap_run(config):
     )
 
 
+def test_top_speed_and_accel_stay_within_max_sim_time(config):
+    # An explicit duration or horizon never outlasts sim.max_sim_time, and
+    # accel_test names the bound that applied.
+    cfg = with_overrides(config, sim={"max_sim_time": 10.0})
+    report = top_speed_test(cfg, duration=20.0)
+    assert len(report.speed_trajectory) == 100
+    assert report.speed_trajectory[-1][0] == pytest.approx(10.0, abs=1e-9)
+    assert accel_test(config, 100.0).time_to_target_s > 10.0
+    with pytest.raises(UnreachableTargetError) as exc:
+        accel_test(cfg, 100.0)
+    assert str(exc.value) == "100 km/h not reached within 10 s"
+
+
 def test_size_motor_values(config):
     assert size_motor(config, 120.0) == pytest.approx(28.46, abs=0.005)
     assert size_motor(config, 100.0) == pytest.approx(19.18, abs=0.005)

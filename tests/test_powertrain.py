@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from step_reference import (
+    BatteryState,
     available_torque,
     battery_step,
+    initial_battery_state,
     motor_current,
     motor_electrical_power,
     wheel_torque,
@@ -11,7 +13,6 @@ from step_reference import (
 
 from bevsim import DegenerateVoltageError, EnvelopeError
 from bevsim.params import motor_rpm_per_kmh
-from bevsim.powertrain import BatteryState, initial_battery_state
 
 
 def test_available_torque_at_standstill(config):
