@@ -198,14 +198,26 @@ def _load_config(args) -> VehicleConfig:
     return config
 
 
+# Domain rules of the float flags that are not config fields.
+_POSITIVE_FLAGS = ("duration", "speed", "power")
+_NON_NEGATIVE_FLAGS = ("target",)
+
+
 def _check_numeric_flags(args, config: VehicleConfig) -> None:
-    """The one rule for numeric flags: every float flag is finite, and a
-    SoC floor lies in [0, initial SoC). The overrides of config fields
-    (--dt, --regen-eff) have already been held to the config's own rules."""
+    """The one rule for numeric flags: every float flag is finite; a
+    duration, speed or power is > 0, a target >= 0; and a SoC floor lies in
+    [0, initial SoC). The overrides of config fields (--dt, --regen-eff)
+    have already been held to the config's own rules."""
     for dest, value in vars(args).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            flag = "--" + dest.replace("_", "-")
+        if not isinstance(value, float):
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite (got {value})")
+        if dest in _POSITIVE_FLAGS and not value > 0.0:
+            raise ConfigError(f"{flag} must be > 0 (got {value})")
+        if dest in _NON_NEGATIVE_FLAGS and not value >= 0.0:
+            raise ConfigError(f"{flag} must be >= 0 (got {value})")
     until_soc = getattr(args, "until_soc", None)
     initial_soc = config.battery.initial_soc
     if until_soc is not None and not 0.0 <= until_soc < initial_soc:
@@ -309,8 +321,11 @@ def cmd_range(args) -> int:
     if args.every < 1:
         raise ConfigError(f"--every must be >= 1 (got {args.every})")
     if args.compare_regen:
-        if args.no_regen:
-            raise ConfigError("--compare-regen conflicts with --no-regen")
+        for flag, value in (
+            ("--no-regen", args.no_regen), ("--out", args.out), ("--plot", args.plot)
+        ):
+            if value:
+                raise ConfigError(f"--compare-regen conflicts with {flag}")
         comparison = experiments.regen_comparison(
             config, cycle, soc_floor=args.until_soc, parallel=True
         )

@@ -29,16 +29,22 @@ All per-step physics lives in one private kernel, ``_advance``: the PI
 controller, the braking split, the road loads, the force balance and
 integration, the motor envelope, the electrical conversion and the battery
 update. ``dynamics`` holds only the road-load formulas that the
-experiments' force-balance oracles evaluate. The public ``SimState`` is
-the kernel's carry: ``_advance`` takes it as its start and returns it as
-its end. ``run`` calls the kernel once for a whole run, from
-``initial_state(config)``; ``step`` hands it the client's ``SimState`` for
-one step, with no trace collection, and returns the end state with a
-record built from the last-step tuple (the fifth of the kernel's five
-return values). The test suite composes the same physics from separate
-component operations and state types (``tests/step_reference.py``) and
-checks both entry points against it bit for bit. Runs are deterministic:
-identical config, cycle, and options produce bit-identical traces.
+experiments' force-balance oracles evaluate. The kernel is a generator
+whose suspended frame is the carry: it starts from a public ``SimState``,
+yields the end ``SimState`` after each chunk of steps, and keeps what it
+accumulates (ledger sums, tracking-error maximum, cycle cursor, step index)
+between chunks, so a resumed kernel gives the bits of one unsplit call.
+``run`` takes one chunk for a whole run, from ``initial_state(config)``.
+``step`` runs one-step chunks with no trace collection: handed back the
+exact state object it last returned, with the same cycle and config
+objects, it resumes that kernel; any other state starts a new one. The
+last session's kernel waits in one module-level slot, taken with
+``list.pop`` so no two threads resume one kernel, and put back only after
+it stepped, so a kernel that raised is dropped. The test suite composes
+the same physics from separate component operations and state types
+(``tests/step_reference.py``) and checks both entry points against it bit
+for bit. Runs are deterministic: identical config, cycle, and options
+produce bit-identical traces.
 
 The kernel's loop invariants (config scalars, hoisted products) come from
 ``_invariants``, which keeps the last config's in one module-level
@@ -62,6 +68,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
+from collections.abc import Generator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -210,6 +217,11 @@ def initial_state(config: VehicleConfig) -> SimState:
     )
 
 
+# The last step() session's (kernel, state it returned, cycle, config); taken
+# with pop(), so no two threads resume one kernel.
+_resumable: list = []
+
+
 def step(
     state: SimState,
     cycle: DriveCycle,
@@ -223,7 +235,10 @@ def step(
     anywhere in the cycle (past its end the last target speed holds). The
     returned record carries the post-step time, speed, and target (the pair
     the next command acts on) together with the torques and forces applied
-    during the step.
+    during the step. Handing back the returned state, with the same cycle
+    and config objects, resumes the kernel where it stopped instead of
+    starting a new one; the bits are the same either way, and any other
+    state (an equal copy too) starts afresh.
 
     Raises:
         ValueError: If ``state.t_s`` is negative, ``config.sim.dt`` is not
@@ -232,27 +247,37 @@ def step(
         DegenerateVoltageError: If the terminal voltage is not >= 1 V.
         ConfigError: If the config fails validation.
     """
-    t, v, dist, integ, soc, vterm, out, regen, _ = state
-    dt = config.sim.dt
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0 (got {t})")
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0 (got {dt})")
-    if not 0.0 <= v < math.inf:
-        raise EnvelopeError(f"vehicle speed must be finite and >= 0 (got {v})")
-    if not 1.0 <= vterm < math.inf:
-        raise DegenerateVoltageError(
-            f"terminal voltage {vterm} V is not a finite value >= 1 V"
+    try:
+        kernel, resumes, resumed_cycle, resumed_config = _resumable.pop()
+    except IndexError:
+        resumes = None
+    if resumes is state and resumed_cycle is cycle and resumed_config is config:
+        end, _, _, _, last = kernel.send((1, regen_enabled, pinned_command))
+    else:
+        t, v, dist, integ, soc, vterm, out, regen, _ = state
+        dt = config.sim.dt
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t must be finite and >= 0 (got {t})")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0 (got {dt})")
+        if not 0.0 <= v < math.inf:
+            raise EnvelopeError(f"vehicle speed must be finite and >= 0 (got {v})")
+        if not 1.0 <= vterm < math.inf:
+            raise DegenerateVoltageError(
+                f"terminal voltage {vterm} V is not a finite value >= 1 V"
+            )
+        if not (
+            math.isfinite(dist) and math.isfinite(integ) and math.isfinite(soc)
+            and math.isfinite(out) and math.isfinite(regen)
+        ):
+            raise ValueError(f"state floats must be finite (got {state})")
+        kernel = _advance(
+            config, cycle, state, 1, regen_enabled, None, False, pinned_command, 0
         )
-    if not (
-        math.isfinite(dist) and math.isfinite(integ) and math.isfinite(soc)
-        and math.isfinite(out) and math.isfinite(regen)
-    ):
-        raise ValueError(f"state floats must be finite (got {state})")
-    end, _, _, _, last = _advance(
-        config, cycle, state, 1, regen_enabled, None, False, pinned_command, 0
-    )
-    return end, TraceRecord(*last)
+        end, _, _, _, last = next(kernel)
+    # Put back only after the kernel stepped: one that raised is dropped.
+    _resumable[:] = ((kernel, end, cycle, config),)
+    return end, last
 
 
 def _steps_for(duration_s: float, dt: float) -> int:
@@ -313,11 +338,11 @@ def run(
             time_limited = asked <= cycle_steps
     step_limit = min(cycle_steps, time_steps)
 
-    end, cols, ledger_j, max_err, _ = _advance(
+    end, cols, ledger_j, max_err, _ = next(_advance(
         config, cycle, initial_state(config), step_limit,
         regen_enabled=regen_enabled, stop_at_soc=stop_at_soc, repeat=repeat,
         pinned_command=pinned_command, trace_every=trace_every,
-    )
+    ))
     t, _, dist, _, soc, _, energy_out, energy_regen, _ = end
     # The kernel stops early only at the soc floor, which also outranks a
     # step limit reached on the same step.
@@ -401,18 +426,25 @@ def _advance(
     repeat: bool,
     pinned_command: float | None,
     trace_every: int,
-) -> tuple[SimState, list, tuple, float, tuple | None]:
-    """The simulation kernel: advance ``start`` by ``step_limit`` steps, or
-    fewer once the soc reaches ``stop_at_soc``.
+) -> Generator[tuple, tuple, None]:
+    """The simulation kernel, a generator whose suspended frame is the carry.
 
-    The carry is a ``SimState``: (t, v, distance, PI integral, soc,
-    terminal voltage, energy out, energy regen, soc saturated). t may lie
-    anywhere in the cycle, but a repeating run must start within its first
-    pass; a step that clamps the soc sets the flag. Returns the end state;
-    one sequence per TRACE_FIELDS column holding every ``trace_every``-th
-    record (none when 0); the ledger buckets in joules, in EnergyLedger
-    field order; the largest post-step tracking error [km/h]; and the last
-    step's record as a tuple in TRACE_FIELDS order (None when no step ran).
+    Runs ``step_limit`` steps from ``start``, or fewer once the soc reaches
+    ``stop_at_soc``, then yields ``(end, cols, ledger_j, max_err, last)``:
+    the end ``SimState``; one sequence per TRACE_FIELDS column holding this
+    chunk's records whose step index (counted from ``start``) is a multiple
+    of ``trace_every`` (none when 0); the ledger buckets in joules, in
+    EnergyLedger field order; the largest post-step tracking error [km/h];
+    and the last step's ``TraceRecord`` (None while no step has run).
+    ``send((n, regen_enabled, pinned_command))`` runs n more steps under
+    those options and yields again. The ledger sums, ``max_err``, the cycle
+    cursor and wrap count, and the step index stay in the frame between
+    chunks, so N steps and then M more give the bits of N + M steps.
+
+    ``start`` is a ``SimState``: (t, v, distance, PI integral, soc, terminal
+    voltage, energy out, energy regen, soc saturated). t may lie anywhere in
+    the cycle, but a repeating run must start within its first pass; a step
+    that clamps the soc sets the flag.
     """
     (
         dt, m, f0, f1, f4, rw, gr, eta_t, fric_max, eta_regen, cutoff,
@@ -420,6 +452,7 @@ def _advance(
         rpm_per_kmh, mg, cd_af, kw_rpm, charge_as, half_m, static_rr,
     ) = _invariants(config)
     regen_charging = bool(regen_enabled)
+    tuple_new = tuple.__new__  # skips the named tuples' Python-level __new__
 
     times = cycle._times
     speeds = cycle._speeds
@@ -459,13 +492,33 @@ def _advance(
     # ``while True`` on purpose: CPython 3.11 warms a function up for
     # specialisation on a loop's unconditional backward jump, so a loop
     # condition here leaves the kernel unspecialised for a process's first
-    # calls (each pool worker of a range comparison makes only one).
+    # calls (each pool worker of a range comparison makes only one). The
+    # chunk boundary is a branch inside the loop, so a resumed kernel keeps
+    # taking that jump too.
     k = 0
     while True:
-        if k >= step_limit:
-            break
-        if stop_at_soc is not None and soc <= stop_at_soc:
-            break
+        if k >= step_limit or (stop_at_soc is not None and soc <= stop_at_soc):
+            n, regen_enabled, pinned_command = yield (
+                tuple_new(SimState, (
+                    t, v, dist, integ, soc, vterm, cum_out, cum_regen, saturated
+                )),
+                cols,
+                (e_out, e_regen, e_kin, e_roll, e_aero, e_fric, e_drive, e_resist),
+                max_err,
+                tuple_new(TraceRecord, (
+                    t, target, v, dist, cmd, tau_signed, rpm, f_fric,
+                    p_batt, current, vterm, soc, rr, wr, a,
+                )) if k else None,
+            )
+            regen_charging = bool(regen_enabled)
+            step_limit = k + n
+            if collect:
+                cols = [[] for _ in TRACE_FIELDS]
+                (
+                    c_t, c_vt, c_v, c_d, c_cmd, c_tau, c_rpm, c_fric,
+                    c_pb, c_cur, c_volt, c_soc, c_rr, c_wr, c_a,
+                ) = cols
+            continue
 
         # --- driver ---
         if pinned_command is None:
@@ -651,14 +704,6 @@ def _advance(
 
         v = v2
         k += 1
-
-    end = SimState(t, v, dist, integ, soc, vterm, cum_out, cum_regen, saturated)
-    ledger_j = (e_out, e_regen, e_kin, e_roll, e_aero, e_fric, e_drive, e_resist)
-    last = (
-        t, target, v, dist, cmd, tau_signed, rpm, f_fric,
-        p_batt, current, vterm, soc, rr, wr, a,
-    ) if k else None
-    return end, cols, ledger_j, max_err, last
 
 
 def ledger_check(ledger: EnergyLedger) -> LedgerCheck:

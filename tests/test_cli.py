@@ -238,6 +238,23 @@ def test_float_flags_cover_every_numeric_option():
     }
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["topspeed", "--duration", "0"], "--duration must be > 0"),
+        (["topspeed", "--duration", "-1"], "--duration must be > 0"),
+        (["accel", "--target", "-5"], "--target must be >= 0"),
+        (["size-motor", "--speed", "-1"], "--speed must be > 0"),
+        (["size-motor", "--power", "0"], "--power must be > 0"),
+    ],
+    ids=["zero-duration", "negative-duration", "negative-target",
+         "negative-speed", "zero-power"],
+)
+def test_out_of_range_float_flag_exits_one(small_config_path, capsys, argv, expected):
+    code = main(argv + ["--config", small_config_path])
+    _assert_one_line_error(capsys, code, expected)
+
+
 def test_single_pass_longer_than_max_sim_time_stops(tmp_path, capsys):
     cycle = tmp_path / "endless.csv"
     cycle.write_text("t_s,v_kmh\n0,0\n1e300,5\n")
@@ -303,6 +320,17 @@ def test_range_conflicts(small_config_path, capsys):
         ]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--plot"])
+def test_range_compare_regen_rejects_outputs(tmp_path, small_config_path, capsys, flag):
+    # A comparison writes no trace or plot, so asking for one is an error.
+    path = tmp_path / "asked-for"
+    code = main(
+        ["range", "--config", small_config_path, "--compare-regen", flag, str(path)]
+    )
+    _assert_one_line_error(capsys, code, f"--compare-regen conflicts with {flag}")
+    assert not path.exists()
 
 
 def test_range_rejects_floor_above_initial_soc(small_config_path, capsys):

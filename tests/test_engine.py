@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from step_reference import reference_run, reference_step
@@ -22,6 +22,7 @@ from bevsim import (
     step,
     synth_trapezoid,
 )
+from bevsim import engine
 from bevsim.cycle import target_speed
 from bevsim.engine import TRACE_FIELDS
 from bevsim.params import with_overrides
@@ -130,24 +131,30 @@ def test_run_matches_iterated_step_bit_for_bit(config):
         _run_and_step_match_reference(config, cycle, n, **options)
 
 
-def test_run_matches_step_through_stop_clamp_rescaling(config):
-    # A coarse step, light car, and low cutoff make braking overshoot zero
-    # while regen is still active, forcing the clamp to rescale the regen
-    # torque; the PI is deliberately unstable at this step so the profile
-    # thrashes between launch and clamp. All routes must still agree.
-    cfg = with_overrides(
+# A coarse step, light car, and low cutoff make braking overshoot zero
+# while regen is still active, forcing the clamp to rescale the regen
+# torque; the PI is deliberately unstable at this step so the profile
+# thrashes between launch and clamp.
+def _clamp_config(config):
+    return with_overrides(
         config,
         sim={"dt": 0.5},
         body={"mass": 900.0},
         drivetrain={"regen_cutoff_speed": 0.5},
         driver={"kp": 2.0, "ki": 0.5},
     )
-    cycle = DriveCycle(
-        "sawtooth",
-        np.array([0.0, 8.0, 8.5, 20.0, 28.0, 28.5, 40.0]),
-        np.array([0.0, 35.0, 0.0, 0.0, 30.0, 0.0, 0.0]),
-    )
-    trace = _run_and_step_match_reference(cfg, cycle, 80)
+
+
+_SAWTOOTH = DriveCycle(
+    "sawtooth",
+    np.array([0.0, 8.0, 8.5, 20.0, 28.0, 28.5, 40.0]),
+    np.array([0.0, 35.0, 0.0, 0.0, 30.0, 0.0, 0.0]),
+)
+
+
+def test_run_matches_step_through_stop_clamp_rescaling(config):
+    # run(), step() and the reference still agree through the clamp.
+    trace = _run_and_step_match_reference(_clamp_config(config), _SAWTOOTH, 80)
     v_prev = np.concatenate(([0.0], trace.v_kmh[:-1]))
     rescaled = (
         (trace.v_kmh == 0.0) & (v_prev > 0.0) & (trace.motor_nm < 0.0)
@@ -186,15 +193,18 @@ def test_udds_prefix_matches_iterated_step(config, udds):
     _run_and_step_match_reference(config, udds, 600)
 
 
+# Off-grid knots (and one on it) over a 3.05 s cycle.
+_SHORT = DriveCycle(
+    "short",
+    np.array([0.0, 0.35, 1.2, 2.0, 3.05]),
+    np.array([0.0, 12.5, 7.0, 30.0, 3.0]),
+)
+
+
 def test_repeat_cursor_matches_target_speed_over_wraps(config):
-    # Off-grid knots (and one on it) over a 3.05 s cycle: 300 steps wrap it
-    # nine times. Every target must be target_speed's double at the query
-    # time of the kernel's wrap rule.
-    cycle = DriveCycle(
-        "short",
-        np.array([0.0, 0.35, 1.2, 2.0, 3.05]),
-        np.array([0.0, 12.5, 7.0, 30.0, 3.0]),
-    )
+    # 300 steps wrap _SHORT nine times. Every target must be target_speed's
+    # double at the query time of the kernel's wrap rule.
+    cycle = _SHORT
     trace, _, _ = run(config, cycle, repeat=True, max_time=30.0)
     assert len(trace) == 300
     duration = cycle.duration_s
@@ -355,6 +365,179 @@ def test_step_rejects_an_invalid_config(config, udds, change, field):
             step(state, udds, bad)
     with pytest.raises(ConfigError, match=field):
         run(bad, udds)
+
+
+# step() resumes the kernel of the last session when handed back the state
+# it returned, with the same cycle and config objects.
+@pytest.fixture
+def kernels(monkeypatch):
+    """Every kernel created from here on: the arguments of each
+    ``engine._advance`` call."""
+    created = []
+    advance = engine._advance
+
+    def counting(*args, **kwargs):
+        created.append(args)
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_advance", counting)
+    return created
+
+
+def test_a_step_session_creates_one_kernel(config, kernels):
+    session = _session(config, 500)
+    assert len(kernels) == 1
+    assert session[-1][0].t_s == pytest.approx(50.0, abs=1e-9)
+
+
+def test_resumed_session_follows_options_changed_every_tick(config, udds, kernels):
+    # Regen and the pinned command change on every tick of one resumed
+    # kernel; each tick must still equal the reference step bit for bit.
+    commands = [None, None, 0.8, None, -0.7, None, 0.2, -1.0]
+    ref = mine = initial_state(config)
+    for i in range(600):
+        options = dict(regen_enabled=i % 5 != 2, pinned_command=commands[i % 8])
+        ref, want = reference_step(ref, udds, config, **options)
+        mine, got = step(mine, udds, config, **options)
+        assert _bits(got) == _bits(want), f"record diverges at step {i}"
+        assert _bits(mine) == _bits(ref), f"state diverges at step {i}"
+    assert len(kernels) == 1
+
+
+def test_branching_from_one_state_gives_identical_branches(config, kernels):
+    state = _session(config, 120)[-1][0]
+    branches = [step(state, _LAUNCH, config), step(state, _LAUNCH, config)]
+    assert len(kernels) == 2  # the first resumed, the second started afresh
+    # Alternating between the branches restarts a kernel on every tick.
+    for _ in range(40):
+        branches = [step(s, _LAUNCH, config) for s, _ in branches]
+    assert _bits(branches[0][0]) == _bits(branches[1][0])
+    assert _bits(branches[0][1]) == _bits(branches[1][1])
+    assert len(kernels) == 2 + 80
+
+
+def test_an_equal_but_new_state_starts_a_fresh_kernel(config, kernels):
+    state = _session(config, 120)[-1][0]
+    resumed = step(state, _LAUNCH, config)
+    assert len(kernels) == 1
+    copy = state._replace()
+    assert copy == state and copy is not state
+    fresh = step(copy, _LAUNCH, config)
+    assert len(kernels) == 2
+    want = reference_step(state, _LAUNCH, config)
+    for got in (resumed, fresh):
+        assert _bits(got[0]) == _bits(want[0])
+        assert _bits(got[1]) == _bits(want[1])
+
+
+@pytest.mark.parametrize("swap", ["cycle", "config"])
+def test_a_new_cycle_or_config_starts_a_fresh_kernel(config, kernels, swap):
+    state = _session(config, 120)[-1][0]
+    cycle = _SAWTOOTH if swap == "cycle" else _LAUNCH
+    cfg = _with_mass(config, 2400.0) if swap == "config" else config
+    got = step(state, cycle, cfg)
+    assert len(kernels) == 2
+    want = reference_step(state, cycle, cfg)
+    assert _bits(got[0]) == _bits(want[0])
+    assert _bits(got[1]) == _bits(want[1])
+
+
+def test_a_kernel_that_raised_is_not_resumed(config, kernels):
+    # At 1 V the first step draws a huge current, so the resumed second
+    # step finds the terminal voltage collapsed and the kernel raises.
+    start = initial_state(config)._replace(
+        t_s=10.0, speed_kmh=50.0, terminal_voltage=1.0
+    )
+    state, _ = step(start, _LAUNCH, config, pinned_command=1.0)
+    assert state.terminal_voltage < 1.0
+    for _ in range(2):  # never StopIteration from the dead kernel
+        with pytest.raises(DegenerateVoltageError):
+            step(state, _LAUNCH, config, pinned_command=1.0)
+    assert len(kernels) == 1
+    _step_matches_reference(config, _LAUNCH, 5)
+    assert len(kernels) == 2
+
+
+def test_a_kernel_is_taken_before_it_resumes(config, monkeypatch):
+    # A step() from the same state while that kernel runs, as another thread
+    # could make, must find no kernel to resume and start its own.
+    advance = engine._advance
+    nested = []
+
+    def interrupted(*args, **kwargs):
+        kernel = advance(*args, **kwargs)
+        out = next(kernel)
+        while True:
+            options = yield out
+            if not nested:
+                nested.append(step(out[0], _LAUNCH, config))
+            out = kernel.send(options)
+
+    monkeypatch.setattr(engine, "_advance", interrupted)
+    state, _ = step(initial_state(config), _LAUNCH, config)
+    resumed = step(state, _LAUNCH, config)
+    assert len(nested) == 1
+    assert _session_bits(nested) == _session_bits([resumed])
+
+
+# Kernels driven in chunks: a repeating _SHORT whose chunks cross its
+# wraps, the stop clamp, and a tiny battery whose SoC floor (reached at step
+# 53) falls inside a chunk.
+def _chunk_scenario(config, name):
+    """(config, cycle, kernel options after start and step_limit)."""
+    if name == "wraps":
+        return config, _SHORT, dict(
+            regen_enabled=True, stop_at_soc=None, repeat=True, pinned_command=None
+        )
+    if name == "stop-clamp":
+        return _clamp_config(config), _SAWTOOTH, dict(
+            regen_enabled=True, stop_at_soc=None, repeat=False, pinned_command=None
+        )
+    return with_overrides(config, battery={"capacity_energy": 0.2}), _LAUNCH, dict(
+        regen_enabled=False, stop_at_soc=0.85, repeat=True, pinned_command=None
+    )
+
+
+def _hex(values):
+    return None if values is None else [x.hex() for x in values]
+
+
+@given(
+    scenario=st.sampled_from(["wraps", "stop-clamp", "soc-floor"]),
+    sizes=st.lists(st.integers(0, 80), min_size=1, max_size=6),
+    trace_every=st.sampled_from([0, 1, 3, 7]),
+)
+@example(scenario="wraps", sizes=[29, 2, 31, 60], trace_every=1)
+@example(scenario="soc-floor", sizes=[30, 40, 50], trace_every=3)
+@settings(max_examples=120, deadline=None)
+def test_kernel_resumed_in_chunks_equals_one_call(
+    config, scenario, sizes, trace_every
+):
+    cfg, cycle, options = _chunk_scenario(config, scenario)
+    start = initial_state(cfg)
+
+    def kernel(step_limit):
+        return engine._advance(
+            cfg, cycle, start, step_limit, trace_every=trace_every, **options
+        )
+
+    chunked = kernel(sizes[0])
+    chunks = [next(chunked)]
+    for n in sizes[1:]:
+        chunks.append(
+            chunked.send((n, options["regen_enabled"], options["pinned_command"]))
+        )
+    end, cols, ledger_j, max_err, last = next(kernel(sum(sizes)))
+    if scenario == "soc-floor" and sum(sizes) >= 53:
+        assert end.soc <= 0.85
+    got_end, _, got_ledger, got_max_err, got_last = chunks[-1]
+    assert _bits(got_end) == _bits(end)
+    for i, field in enumerate(TRACE_FIELDS):
+        got = [x for chunk in chunks for x in chunk[1][i]]
+        assert _hex(got) == _hex(cols[i]), field
+    assert _hex(got_ledger) == _hex(ledger_j)
+    assert got_max_err.hex() == max_err.hex()
+    assert _hex(got_last) == _hex(last)
 
 
 # Finite client states anywhere in and past the UDDS cycle (1369 s).
