@@ -264,7 +264,7 @@ _TRACE_ROW = ",".join(["%.6g"] * len(TRACE_FIELDS)) + "\n"
 
 def emit_trace(trace: SimTrace, path: str) -> None:
     """Write the trace CSV (exact 15-column header, 6 significant digits)."""
-    cols = [getattr(trace, f).tolist() for f in TRACE_FIELDS]
+    cols = [getattr(trace, f) for f in TRACE_FIELDS]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_FIELDS) + "\n")
         fh.writelines(_TRACE_ROW % row for row in zip(*cols))

@@ -1,18 +1,15 @@
-"""Target-speed schedules: parsing, interpolation, statistics, synthesis.
+"""Target-speed schedules: parsing, statistics, synthesis.
 
-Cycles are immutable after parsing (sample arrays are write-protected) and
-safe to share across concurrent runs. The lookup is piecewise linear with a
-clamp-after-end rule so a run remains well defined past the last sample.
+A cycle holds its knots as tuples of floats, so it is immutable, hashable
+and safe to share across concurrent runs. The engine interpolates them
+piecewise linearly, holding the last speed past the last sample.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-
-import numpy as np
 
 from .errors import CycleError
 
@@ -28,42 +25,38 @@ class DriveCycle:
         times_s: Sample times [s]; strictly increasing, starting at 0.
         speeds_kmh: Target speeds [km/h]; non-negative.
 
-    ``_times`` and ``_speeds`` hold the same knots as tuples of Python
-    floats, built once, for the per-step lookups of ``target_speed`` and
-    the engine; the arrays are write-protected, so they cannot go stale.
+    Any sequences of numbers are accepted; both are stored as tuples of
+    floats.
     """
 
     name: str
-    times_s: np.ndarray
-    speeds_kmh: np.ndarray
-    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _speeds: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    times_s: tuple[float, ...]
+    speeds_kmh: tuple[float, ...]
 
     def __post_init__(self):
-        t = np.asarray(self.times_s, dtype=np.float64)
-        v = np.asarray(self.speeds_kmh, dtype=np.float64)
-        if t.ndim != 1 or v.ndim != 1 or t.shape != v.shape:
+        try:
+            t = tuple(map(float, self.times_s))
+            v = tuple(map(float, self.speeds_kmh))
+        except (TypeError, ValueError):
+            t = v = None
+        if t is None or len(t) != len(v):
             raise CycleError("times and speeds must be 1-D arrays of equal length")
         if len(t) < 2:
             raise CycleError("a cycle needs at least 2 samples")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        if not all(map(math.isfinite, t + v)):
             raise CycleError("sample times and speeds must be finite")
         if t[0] != 0.0:
             raise CycleError(f"cycle must start at t = 0 (got {t[0]})")
-        if not np.all(np.diff(t) > 0.0):
+        if not all(map(float.__lt__, t, t[1:])):
             raise CycleError("sample times must be strictly increasing")
-        if np.any(v < 0.0):
+        if min(v) < 0.0:
             raise CycleError("speeds must be non-negative")
-        t.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "times_s", t)
         object.__setattr__(self, "speeds_kmh", v)
-        object.__setattr__(self, "_times", tuple(t.tolist()))
-        object.__setattr__(self, "_speeds", tuple(v.tolist()))
 
     @property
     def duration_s(self) -> float:
-        return float(self.times_s[-1])
+        return self.times_s[-1]
 
     def __len__(self) -> int:
         return len(self.times_s)
@@ -120,46 +113,26 @@ def parse_cycle(text: str, name: str = "cycle") -> DriveCycle:
             raise CycleError(f"negative speed at row {row_num}: {v}")
         times.append(t)
         speeds.append(v)
-    return DriveCycle(name=name, times_s=np.array(times), speeds_kmh=np.array(speeds))
+    return DriveCycle(name=name, times_s=times, speeds_kmh=speeds)
 
 
 def serialize_cycle(cycle: DriveCycle) -> str:
     """Serialize to CSV text; parse_cycle reproduces all samples bit-exactly."""
     rows = [CSV_HEADER]
     for t, v in zip(cycle.times_s, cycle.speeds_kmh):
-        rows.append(f"{float(t)!r},{float(v)!r}")
+        rows.append(f"{t!r},{v!r}")
     return "\n".join(rows) + "\n"
-
-
-def target_speed(cycle: DriveCycle, t: float) -> float:
-    """Target speed at time t [km/h]: linear between samples, last value held.
-
-    The interpolation expression must stay identical to the cycle cursor in
-    engine._advance (bit-for-bit), so keep any change in sync with it. The
-    kernel caches the current segment (t0, v0, v1 - v0, t1 - t0) between
-    steps but evaluates this same expression.
-    """
-    if not t >= 0.0:
-        raise ValueError(f"t must be >= 0 (got {t})")
-    times = cycle._times
-    speeds = cycle._speeds
-    if t >= times[-1]:
-        return speeds[-1]
-    i = bisect_right(times, t) - 1
-    t0 = times[i]
-    t1 = times[i + 1]
-    v0 = speeds[i]
-    v1 = speeds[i + 1]
-    return v0 + (v1 - v0) * ((t - t0) / (t1 - t0))
 
 
 def cycle_stats(cycle: DriveCycle) -> CycleStats:
     """Trapezoidal distance and speed aggregates."""
     t = cycle.times_s
     v = cycle.speeds_kmh
-    area = float(np.sum((v[1:] + v[:-1]) * 0.5 * np.diff(t)))  # km/h * s
-    duration = float(t[-1])
-    max_speed = float(np.max(v))
+    area = math.fsum(  # km/h * s
+        (v1 + v0) * 0.5 * (t1 - t0) for t0, t1, v0, v1 in zip(t, t[1:], v, v[1:])
+    )
+    duration = t[-1]
+    max_speed = max(v)
     return CycleStats(
         duration_s=duration,
         distance_km=area / 3600.0,
@@ -184,23 +157,18 @@ def repeat(cycle: DriveCycle, n: int) -> DriveCycle:
         return cycle
     t = cycle.times_s
     v = cycle.speeds_kmh
-    duration = float(t[-1])
+    duration = t[-1]
     closed = v[0] == v[-1]
-    times = [t]
-    speeds = [v]
+    times = list(t)
+    speeds = list(v)
     for k in range(1, n):
         offset = k * duration
-        if closed:
-            times.append(t[1:] + offset)
-            speeds.append(v[1:])
-        else:
-            times.append(np.concatenate(([offset + 1e-9], t[1:] + offset)))
-            speeds.append(np.concatenate(([v[0]], v[1:])))
-    return DriveCycle(
-        name=f"{cycle.name}x{n}",
-        times_s=np.concatenate(times),
-        speeds_kmh=np.concatenate(speeds),
-    )
+        if not closed:
+            times.append(offset + 1e-9)
+            speeds.append(v[0])
+        times.extend(x + offset for x in t[1:])
+        speeds.extend(v[1:])
+    return DriveCycle(name=f"{cycle.name}x{n}", times_s=times, speeds_kmh=speeds)
 
 
 def synth_trapezoid(peak_kmh: float, ramp_s: float, hold_s: float) -> DriveCycle:
@@ -217,11 +185,7 @@ def synth_trapezoid(peak_kmh: float, ramp_s: float, hold_s: float) -> DriveCycle
     else:
         times = [0.0, ramp_s, ramp_s + hold_s, 2.0 * ramp_s + hold_s]
         speeds = [0.0, peak_kmh, peak_kmh, 0.0]
-    return DriveCycle(
-        name=f"trapezoid-{peak_kmh:g}",
-        times_s=np.array(times),
-        speeds_kmh=np.array(speeds),
-    )
+    return DriveCycle(name=f"trapezoid-{peak_kmh:g}", times_s=times, speeds_kmh=speeds)
 
 
 def load_udds() -> DriveCycle:

@@ -67,12 +67,11 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from bisect import bisect_right
 from collections.abc import Generator
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .cycle import DriveCycle
 from .errors import ConfigError, DegenerateVoltageError, EnvelopeError
@@ -127,29 +126,30 @@ TRACE_FIELDS = TraceRecord._fields
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Column-major per-step records of a run (one numpy array per field)."""
+    """Column-major per-step records of a run, one ``array('d')`` per field
+    (buffer-protocol consumers view a column without a copy)."""
 
-    t_s: np.ndarray
-    v_target_kmh: np.ndarray
-    v_kmh: np.ndarray
-    dist_km: np.ndarray
-    cmd: np.ndarray
-    motor_nm: np.ndarray
-    motor_rpm: np.ndarray
-    fric_n: np.ndarray
-    batt_kw: np.ndarray
-    current_a: np.ndarray
-    volt_v: np.ndarray
-    soc: np.ndarray
-    rr_n: np.ndarray
-    wr_n: np.ndarray
-    accel_ms2: np.ndarray
+    t_s: array
+    v_target_kmh: array
+    v_kmh: array
+    dist_km: array
+    cmd: array
+    motor_nm: array
+    motor_rpm: array
+    fric_n: array
+    batt_kw: array
+    current_a: array
+    volt_v: array
+    soc: array
+    rr_n: array
+    wr_n: array
+    accel_ms2: array
 
     def __len__(self) -> int:
         return len(self.t_s)
 
     def record(self, i: int) -> TraceRecord:
-        return TraceRecord(*(float(getattr(self, f)[i]) for f in TRACE_FIELDS))
+        return TraceRecord(*(getattr(self, f)[i] for f in TRACE_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -313,13 +313,15 @@ def run(
 
     Raises:
         ConfigError: If the config fails validation.
-        ValueError: If ``trace_every`` is negative or ``max_time`` is not
-            finite.
+        ValueError: If ``trace_every`` is negative, or ``stop_at_soc`` or
+            ``max_time`` is not finite.
         DegenerateVoltageError: If the terminal voltage collapses mid-run.
     """
     _invariants(config)
     if trace_every < 0:
         raise ValueError(f"trace_every must be >= 0 (got {trace_every})")
+    if stop_at_soc is not None and not math.isfinite(stop_at_soc):
+        raise ValueError(f"stop_at_soc must be finite (got {stop_at_soc})")
     if max_time is not None and not math.isfinite(max_time):
         raise ValueError(f"max_time must be finite (got {max_time})")
 
@@ -353,8 +355,8 @@ def run(
     else:
         reason = StopReason.CYCLE_END
 
-    trace = SimTrace(*(np.asarray(col, dtype=np.float64) for col in cols))
-    cycle_max = float(np.max(cycle.speeds_kmh))
+    trace = SimTrace(*(array("d", col) for col in cols))
+    cycle_max = max(cycle.speeds_kmh)
     summary = SimSummary(
         duration_s=t,
         distance_km=dist,
@@ -454,8 +456,8 @@ def _advance(
     regen_charging = bool(regen_enabled)
     tuple_new = tuple.__new__  # skips the named tuples' Python-level __new__
 
-    times = cycle._times
-    speeds = cycle._speeds
+    times = cycle.times_s
+    speeds = cycle.speeds_kmh
     duration = times[-1]
     v_last = speeds[-1]
 
@@ -476,7 +478,7 @@ def _advance(
     # Cycle cursor: placed by bisection at the start time, then forward
     # only. It caches its segment (t0, t1, v0, rise, span) and reloads it when
     # the query time reaches t1 or the cycle wraps; the interpolation must
-    # match cycle.target_speed exactly.
+    # match target_speed in tests/step_reference.py bit for bit.
     wraps = 0
     cur_i = bisect_right(times, t) - 1
     if t >= duration:

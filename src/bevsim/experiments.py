@@ -1,9 +1,9 @@
 """Scripted evaluation scenarios with independent oracles.
 
-Range, acceleration, top-speed, and SoC-dynamics scenarios drive the
-engine; each performance scenario is paired with an oracle that never
-touches the engine (force-balance bisection for top speed, a fine-step
-reference integrator for acceleration), so wiring bugs cannot cancel out.
+Range, acceleration, and top-speed scenarios drive the engine; each
+performance scenario is paired with an oracle that never touches the
+engine (force-balance bisection for top speed, a fine-step reference
+integrator for acceleration), so wiring bugs cannot cancel out.
 
 Acceleration and top-speed runs pin the command at 1 instead of using the
 PI driver, so the results reflect the powertrain rather than controller
@@ -20,10 +20,9 @@ value next to the reference instead of asserting it. See the README.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .cycle import DriveCycle
 from .dynamics import aero_drag, rolling_resistance
@@ -88,46 +87,29 @@ class TopSpeedReport:
     speed_trajectory: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class SocIncreaseEvent:
-    """One step on which the state of charge rose."""
-
-    t_s: float
-    soc_delta: float
-    command: float
-    speed_kmh: float
-
-
-@dataclass(frozen=True)
-class SocDynamicsReport:
-    """Where and why the SoC rose over a trace."""
-
-    increase_steps: int
-    violation_steps: int
-    violations: tuple[SocIncreaseEvent, ...]
-    increase_times_s: tuple[float, ...]
-    per_cycle_soc_delta: tuple[float, ...]
-
-
 def _full_throttle_cycle() -> DriveCycle:
     # Placeholder schedule; the command is pinned so targets are unused.
-    return DriveCycle("full-throttle", np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+    return DriveCycle("full-throttle", (0.0, 1.0), (0.0, 0.0))
+
+
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite (got {value})")
 
 
 def _crossing_time(
-    t: np.ndarray, v: np.ndarray, target: float
+    t: Sequence[float], v: Sequence[float], target: float
 ) -> tuple[float | None, int | None]:
     """First time v reaches the target, interpolated between steps."""
-    hits = np.flatnonzero(np.asarray(v) >= target)
-    if len(hits) == 0:
+    i = next((i for i, vi in enumerate(v) if vi >= target), None)
+    if i is None:
         return None, None
-    i = int(hits[0])
     if i == 0:
         t_prev, v_prev = 0.0, 0.0
     else:
-        t_prev, v_prev = float(t[i - 1]), float(v[i - 1])
-    frac = (target - v_prev) / (float(v[i]) - v_prev)
-    return t_prev + (float(t[i]) - t_prev) * frac, i
+        t_prev, v_prev = t[i - 1], v[i - 1]
+    frac = (target - v_prev) / (v[i] - v_prev)
+    return t_prev + (t[i] - t_prev) * frac, i
 
 
 def range_test_detailed(
@@ -208,9 +190,11 @@ def accel_test(config: VehicleConfig, target_kmh: float = 100.0) -> AccelReport:
     """Full-throttle time from rest to a target speed.
 
     Raises:
+        ValueError: If the target is negative or not finite.
         UnreachableTargetError: If the force balance caps the top speed
             below the target (checked against the oracle up front).
     """
+    _require_finite("target", target_kmh)
     if target_kmh < 0.0:
         raise ValueError(f"target must be >= 0 (got {target_kmh})")
     if target_kmh == 0.0:
@@ -242,10 +226,7 @@ def accel_test(config: VehicleConfig, target_kmh: float = 100.0) -> AccelReport:
         raise UnreachableTargetError(
             f"{target_kmh:g} km/h not reached within {cap:g} s"
         )
-    trajectory = tuple(
-        (float(t), float(v))
-        for t, v in zip(trace.t_s[: idx + 1], trace.v_kmh[: idx + 1])
-    )
+    trajectory = tuple(zip(trace.t_s[: idx + 1], trace.v_kmh[: idx + 1]))
     return AccelReport(
         time_to_target_s=t_cross,
         target_kmh=target_kmh,
@@ -261,7 +242,16 @@ def accel_time_oracle(
     Deliberately self-contained (no engine involved): full throttle along
     the torque/power envelope against the road loads, semi-implicit Euler
     at a fine step, with the crossing linearly interpolated.
+
+    Raises:
+        ValueError: If the target is not finite or dt is not a finite
+            positive step.
+        UnreachableTargetError: If the target is not reached within the
+            full-throttle time cap.
     """
+    _require_finite("target", target_kmh)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0 (got {dt})")
     if target_kmh <= 0.0:
         return 0.0
     b = config.body
@@ -317,18 +307,15 @@ def top_speed_test(config: VehicleConfig, duration: float = 120.0) -> TopSpeedRe
     )
     if len(trace) == 0:
         raise ValueError("duration too short for a single step")
-    vmax = float(np.max(trace.v_kmh))
-    settle_idx = int(np.argmax(trace.v_kmh >= vmax - 1.0))
+    vmax = max(trace.v_kmh)
+    settle_idx = next(i for i, v in enumerate(trace.v_kmh) if v >= vmax - 1.0)
     oracle = top_speed_oracle(config)
-    trajectory = tuple(
-        (float(t), float(v)) for t, v in zip(trace.t_s, trace.v_kmh)
-    )
     return TopSpeedReport(
         vmax_kmh=vmax,
-        time_to_vmax_s=float(trace.t_s[settle_idx]),
+        time_to_vmax_s=trace.t_s[settle_idx],
         oracle_vmax_kmh=oracle,
         discrepancy_kmh=vmax - oracle,
-        speed_trajectory=trajectory,
+        speed_trajectory=tuple(zip(trace.t_s, trace.v_kmh)),
     )
 
 
@@ -364,6 +351,7 @@ def top_speed_oracle(config: VehicleConfig) -> float:
 
 def size_motor(config: VehicleConfig, design_speed_kmh: float) -> float:
     """Motor power [kW] to hold a design speed: v * (RR + WR) / 3600."""
+    _require_finite("design speed", design_speed_kmh)
     if design_speed_kmh <= 0.0:
         raise ValueError(f"design speed must be > 0 (got {design_speed_kmh})")
     b = config.body
@@ -374,6 +362,7 @@ def size_motor(config: VehicleConfig, design_speed_kmh: float) -> float:
 
 def design_speed_for_power(config: VehicleConfig, power_kw: float) -> float:
     """Invert size_motor: the cruising speed [km/h] a power rating sustains."""
+    _require_finite("power", power_kw)
     if power_kw <= 0.0:
         raise ValueError(f"power must be > 0 (got {power_kw})")
     hi = 10.0
@@ -389,52 +378,3 @@ def design_speed_for_power(config: VehicleConfig, power_kw: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def soc_dynamics_report(
-    trace: SimTrace,
-    config: VehicleConfig,
-    cycle_duration_s: float | None = None,
-    max_recorded_violations: int = 20,
-) -> SocDynamicsReport:
-    """Classify every SoC increase in a full-rate trace.
-
-    An increase is legitimate only while braking (negative command) above
-    the regen cutoff speed; anything else is reported as a violation.
-    """
-    soc = np.asarray(trace.soc)
-    if len(soc) == 0:
-        return SocDynamicsReport(0, 0, (), (), ())
-    prev_soc = np.concatenate(([config.battery.initial_soc], soc[:-1]))
-    prev_v = np.concatenate(([0.0], np.asarray(trace.v_kmh)[:-1]))
-    delta = soc - prev_soc
-    rising = delta > 0.0
-    braking = np.asarray(trace.cmd) < 0.0
-    above_cutoff = prev_v > config.drivetrain.regen_cutoff_speed
-    bad = rising & ~(braking & above_cutoff)
-    violations = tuple(
-        SocIncreaseEvent(
-            t_s=float(trace.t_s[i]),
-            soc_delta=float(delta[i]),
-            command=float(trace.cmd[i]),
-            speed_kmh=float(prev_v[i]),
-        )
-        for i in np.flatnonzero(bad)[:max_recorded_violations]
-    )
-    per_cycle: tuple[float, ...] = ()
-    if cycle_duration_s and cycle_duration_s > 0.0:
-        t = np.asarray(trace.t_s)
-        boundaries = np.arange(cycle_duration_s, t[-1] + 1e-9, cycle_duration_s)
-        idx = np.searchsorted(t, boundaries - 1e-9, side="left")
-        idx = np.minimum(idx, len(soc) - 1)
-        socs = np.concatenate(([config.battery.initial_soc], soc[idx]))
-        per_cycle = tuple(float(x) for x in np.diff(socs))
-    return SocDynamicsReport(
-        increase_steps=int(np.count_nonzero(rising)),
-        violation_steps=int(np.count_nonzero(bad)),
-        violations=violations,
-        increase_times_s=tuple(
-            float(x) for x in np.asarray(trace.t_s)[rising]
-        ),
-        per_cycle_soc_delta=per_cycle,
-    )

@@ -9,9 +9,8 @@ a title; axis labels carry units.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .engine import SimTrace
 from .errors import PlotError
@@ -33,8 +32,8 @@ _MAX_POINTS = 4000
 @dataclass(frozen=True)
 class Series:
     label: str
-    x: np.ndarray
-    y: np.ndarray
+    x: Sequence[float]
+    y: Sequence[float]
     color: str
 
 
@@ -46,13 +45,13 @@ class Panel:
     series: tuple[Series, ...]
 
 
-PLOT_KINDS = ("tracking", "range_soc", "accel", "soc_dynamics", "topspeed")
+PLOT_KINDS = ("tracking", "range_soc", "accel", "topspeed")
 
 
 def emit_plot(data, kind: str, path: str) -> None:
     """Render one figure kind to a standalone SVG file.
 
-    ``tracking``, ``range_soc``, and ``soc_dynamics`` take a SimTrace;
+    ``tracking`` and ``range_soc`` take a SimTrace;
     ``accel`` takes an AccelReport; ``topspeed`` takes a TopSpeedReport.
 
     Raises:
@@ -94,28 +93,12 @@ def build_panels(data, kind: str) -> tuple[Panel, ...]:
                 (Series("SoC", trace.t_s, trace.soc, SERIES_COLORS[1]),),
             ),
         )
-    if kind == "soc_dynamics":
-        trace = _require_trace(data, kind)
-        return (
-            Panel(
-                "Speed",
-                "time [s]",
-                "speed [km/h]",
-                (Series("actual", trace.t_s, trace.v_kmh, ACTUAL_COLOR),),
-            ),
-            Panel(
-                "State of charge",
-                "time [s]",
-                "SoC [-]",
-                (Series("SoC", trace.t_s, trace.soc, SERIES_COLORS[1]),),
-            ),
-        )
     if kind == "accel":
         if not isinstance(data, AccelReport) or not data.speed_trajectory:
             raise PlotError("accel plot needs a non-empty AccelReport")
-        t = np.array([p[0] for p in data.speed_trajectory])
-        v = np.array([p[1] for p in data.speed_trajectory])
-        target = np.full_like(t, data.target_kmh)
+        t = [p[0] for p in data.speed_trajectory]
+        v = [p[1] for p in data.speed_trajectory]
+        target = [data.target_kmh] * len(t)
         return (
             Panel(
                 f"Full-throttle acceleration to {data.target_kmh:g} km/h",
@@ -130,9 +113,9 @@ def build_panels(data, kind: str) -> tuple[Panel, ...]:
     if kind == "topspeed":
         if not isinstance(data, TopSpeedReport) or not data.speed_trajectory:
             raise PlotError("topspeed plot needs a non-empty TopSpeedReport")
-        t = np.array([p[0] for p in data.speed_trajectory])
-        v = np.array([p[1] for p in data.speed_trajectory])
-        oracle = np.full_like(t, data.oracle_vmax_kmh)
+        t = [p[0] for p in data.speed_trajectory]
+        v = [p[1] for p in data.speed_trajectory]
+        oracle = [data.oracle_vmax_kmh] * len(t)
         return (
             Panel(
                 "Full-throttle top speed",
@@ -171,10 +154,10 @@ def render(panels: tuple[Panel, ...], width: int = _WIDTH) -> str:
 def _render_panel(panel: Panel, y_off: int, width: int) -> str:
     if not panel.series or all(len(s.x) == 0 for s in panel.series):
         raise PlotError(f"panel '{panel.title}' has no data")
-    x_lo = min(float(np.min(s.x)) for s in panel.series)
-    x_hi = max(float(np.max(s.x)) for s in panel.series)
-    y_lo = min(float(np.min(s.y)) for s in panel.series)
-    y_hi = max(float(np.max(s.y)) for s in panel.series)
+    x_lo = min(min(s.x) for s in panel.series)
+    x_hi = max(max(s.x) for s in panel.series)
+    y_lo = min(min(s.y) for s in panel.series)
+    y_hi = max(max(s.y) for s in panel.series)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -236,7 +219,7 @@ def _render_panel(panel: Panel, y_off: int, width: int) -> str:
     )
     for s in panel.series:
         x, y = _decimate(s.x, s.y)
-        points = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
+        points = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
         out.append(
             f'<polyline fill="none" stroke="{s.color}" stroke-width="1.3" '
             f'points="{points}"/>'
@@ -253,7 +236,9 @@ def _render_panel(panel: Panel, y_off: int, width: int) -> str:
     return "\n".join(out)
 
 
-def _decimate(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decimate(
+    x: Sequence[float], y: Sequence[float]
+) -> tuple[Sequence[float], Sequence[float]]:
     n = len(x)
     if n <= _MAX_POINTS:
         return x, y

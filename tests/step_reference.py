@@ -15,19 +15,27 @@ bit too. The components carry their own state types (``DriverState``,
 engine's flat ``SimState`` and flattens its result back into one. The
 component operations have their own unit tests in ``test_driver``,
 ``test_dynamics`` and ``test_powertrain``.
+
+Two oracles that no package code calls live here too: ``target_speed``,
+the cycle lookup the kernel's cursor must reproduce, and
+``soc_dynamics_report``, which classifies every SoC rise in a trace.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
-from bevsim.cycle import DriveCycle, target_speed
+import numpy as np
+
+from bevsim.cycle import DriveCycle
 from bevsim.dynamics import aero_drag, rolling_resistance
 from bevsim.engine import (
     EnergyLedger,
     SimState,
     SimSummary,
+    SimTrace,
     StopReason,
     TraceRecord,
     initial_state,
@@ -43,6 +51,31 @@ from bevsim.params import (
 
 # Below this terminal voltage the current computation is meaningless.
 VOLTAGE_FLOOR = 1.0
+
+
+# -- cycle: target-speed lookup -----------------------------------------------
+
+
+def target_speed(cycle: DriveCycle, t: float) -> float:
+    """Target speed at time t [km/h]: linear between samples, last value held.
+
+    The interpolation expression must stay identical to the cycle cursor in
+    engine._advance (bit-for-bit), so keep any change in sync with it. The
+    kernel caches the current segment (t0, v0, v1 - v0, t1 - t0) between
+    steps but evaluates this same expression.
+    """
+    if not t >= 0.0:
+        raise ValueError(f"t must be >= 0 (got {t})")
+    times = cycle.times_s
+    speeds = cycle.speeds_kmh
+    if t >= times[-1]:
+        return speeds[-1]
+    i = bisect_right(times, t) - 1
+    t0 = times[i]
+    t1 = times[i + 1]
+    v0 = speeds[i]
+    v1 = speeds[i + 1]
+    return v0 + (v1 - v0) * ((t - t0) / (t1 - t0))
 
 
 # -- driver: PI command and braking-allocation split --------------------------
@@ -611,7 +644,7 @@ def reference_run(
             max_err = err
 
     t = state.t_s
-    cycle_max = max(cycle._speeds)
+    cycle_max = max(cycle.speeds_kmh)
     summary = SimSummary(
         duration_s=t,
         distance_km=state.distance_km,
@@ -629,3 +662,76 @@ def reference_run(
     ledger_j = (e_out, e_regen, e_kin, e_roll, e_aero, e_fric, e_drive, e_resist)
     ledger = EnergyLedger(*(e / 3.6e6 for e in ledger_j))
     return records, summary, ledger
+
+
+# -- SoC dynamics: where and why the state of charge rose ---------------------
+
+
+@dataclass(frozen=True)
+class SocIncreaseEvent:
+    """One step on which the state of charge rose."""
+
+    t_s: float
+    soc_delta: float
+    command: float
+    speed_kmh: float
+
+
+@dataclass(frozen=True)
+class SocDynamicsReport:
+    """Where and why the SoC rose over a trace."""
+
+    increase_steps: int
+    violation_steps: int
+    violations: tuple[SocIncreaseEvent, ...]
+    increase_times_s: tuple[float, ...]
+    per_cycle_soc_delta: tuple[float, ...]
+
+
+def soc_dynamics_report(
+    trace: SimTrace,
+    config: VehicleConfig,
+    cycle_duration_s: float | None = None,
+    max_recorded_violations: int = 20,
+) -> SocDynamicsReport:
+    """Classify every SoC increase in a full-rate trace.
+
+    An increase is legitimate only while braking (negative command) above
+    the regen cutoff speed; anything else is reported as a violation.
+    """
+    soc = np.asarray(trace.soc)
+    if len(soc) == 0:
+        return SocDynamicsReport(0, 0, (), (), ())
+    prev_soc = np.concatenate(([config.battery.initial_soc], soc[:-1]))
+    prev_v = np.concatenate(([0.0], np.asarray(trace.v_kmh)[:-1]))
+    delta = soc - prev_soc
+    rising = delta > 0.0
+    braking = np.asarray(trace.cmd) < 0.0
+    above_cutoff = prev_v > config.drivetrain.regen_cutoff_speed
+    bad = rising & ~(braking & above_cutoff)
+    violations = tuple(
+        SocIncreaseEvent(
+            t_s=float(trace.t_s[i]),
+            soc_delta=float(delta[i]),
+            command=float(trace.cmd[i]),
+            speed_kmh=float(prev_v[i]),
+        )
+        for i in np.flatnonzero(bad)[:max_recorded_violations]
+    )
+    per_cycle: tuple[float, ...] = ()
+    if cycle_duration_s and cycle_duration_s > 0.0:
+        t = np.asarray(trace.t_s)
+        boundaries = np.arange(cycle_duration_s, t[-1] + 1e-9, cycle_duration_s)
+        idx = np.searchsorted(t, boundaries - 1e-9, side="left")
+        idx = np.minimum(idx, len(soc) - 1)
+        socs = np.concatenate(([config.battery.initial_soc], soc[idx]))
+        per_cycle = tuple(float(x) for x in np.diff(socs))
+    return SocDynamicsReport(
+        increase_steps=int(np.count_nonzero(rising)),
+        violation_steps=int(np.count_nonzero(bad)),
+        violations=violations,
+        increase_times_s=tuple(
+            float(x) for x in np.asarray(trace.t_s)[rising]
+        ),
+        per_cycle_soc_delta=per_cycle,
+    )

@@ -8,13 +8,14 @@ import time
 import numpy as np
 import pytest
 
+from step_reference import soc_dynamics_report
+
 from bevsim import (
     accel_test,
     accel_time_oracle,
     ledger_check,
     run,
     size_motor,
-    soc_dynamics_report,
     top_speed_test,
 )
 from bevsim.experiments import (

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import bevsim
 
-# Component operations and state types that moved to step_reference, and
-# derived-quantity helpers that were deleted. None may come back into the
-# package.
+# Component operations, state types and oracles with no package caller that
+# moved to step_reference, and derived-quantity helpers that were deleted.
+# None may come back into the package.
 REMOVED = {
     "ActuationRequest",
     "BatteryState",
@@ -19,6 +19,8 @@ REMOVED = {
     "DerivedParams",
     "DriverState",
     "ForceBreakdown",
+    "SocDynamicsReport",
+    "SocIncreaseEvent",
     "VOLTAGE_FLOOR",
     "acceleration",
     "available_torque",
@@ -29,7 +31,9 @@ REMOVED = {
     "motor_current",
     "motor_electrical_power",
     "pi_step",
+    "soc_dynamics_report",
     "split_command",
+    "target_speed",
     "wheel_torque",
 }
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bevsim
 from bevsim import PlotError, cli, parse_config, run, synth_trapezoid
 from bevsim.cli import build_parser, emit_trace, main
 from bevsim.cycle import serialize_cycle
@@ -88,7 +94,7 @@ def test_emit_trace_formats_edge_values_like_format_6g(tmp_path):
     values = [-0.0, 1e-05, 5e-324, 1e16, 999999.5, 123456.5, np.inf, np.nan]
     # Rotate the values so every column holds each of them once.
     cols = {
-        f: np.array(values[j % 8:] + values[:j % 8])
+        f: array("d", values[j % 8:] + values[:j % 8])
         for j, f in enumerate(TRACE_FIELDS)
     }
     path = tmp_path / "edges.csv"
@@ -450,7 +456,7 @@ def test_every_subcommand_documents_every_flag():
 
 def test_plot_kinds_render(config, udds, tmp_path):
     trace, _, _ = run(config, udds, max_time=120.0)
-    for kind in ("tracking", "range_soc", "soc_dynamics"):
+    for kind in ("tracking", "range_soc"):
         path = tmp_path / f"{kind}.svg"
         emit_plot(trace, kind, str(path))
         text = path.read_text()
@@ -481,3 +487,37 @@ def test_tracking_plot_has_both_curves(config, udds, tmp_path):
     assert ">target</text>" in text
     assert ">actual</text>" in text
     assert text.count("<polyline") == 2
+
+
+# Every command that writes a file or runs the regen comparison's pool.
+_NO_NUMPY_RUN = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from bevsim.cli import main
+
+for argv in (
+    ["simulate", "--out", "sim.csv", "--plot", "sim.svg"],
+    ["range", "--until-soc", "0.85", "--out", "r.csv", "--plot", "r.svg",
+     "--every", "1"],
+    ["range", "--compare-regen", "--until-soc", "0.85"],
+    ["accel", "--plot", "a.svg"],
+    ["topspeed", "--plot", "t.svg"],
+):
+    assert main(argv) == 0, argv
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "numpy" and mod]
+assert not loaded, loaded
+"""
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    src = str(Path(bevsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_RUN],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("sim.csv", "sim.svg", "r.csv", "r.svg", "a.svg", "t.svg"):
+        assert (tmp_path / name).stat().st_size > 0, name

@@ -1,7 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
+
+from step_reference import soc_dynamics_report
 
 from bevsim import (
     UnreachableTargetError,
@@ -12,7 +15,7 @@ from bevsim import (
     regen_comparison,
     run,
     size_motor,
-    soc_dynamics_report,
+    synth_trapezoid,
     top_speed_oracle,
     top_speed_test,
 )
@@ -229,6 +232,37 @@ def test_design_speed_for_published_rating(config):
     assert size_motor(config, speed) == pytest.approx(29.48, abs=0.01)
 
 
+def _oracle_step(cfg, dt):
+    return accel_time_oracle(cfg, 50.0, dt=dt)
+
+
+def _range_floor(cfg, floor):
+    return range_test(cfg, synth_trapezoid(50.0, 10.0, 10.0), soc_floor=floor)
+
+
+_SCALAR_ENTRY_POINTS = (
+    size_motor, design_speed_for_power, accel_test, accel_time_oracle,
+    _oracle_step, _range_floor,
+)
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        pytest.param(fn, x, id=f"{fn.__name__}-{x}")
+        for fn in _SCALAR_ENTRY_POINTS
+        for x in (math.nan, math.inf, -math.inf)
+    ]
+    # A zero or negative oracle step never advances time.
+    + [pytest.param(_oracle_step, x, id=f"_oracle_step-{x}") for x in (0.0, -1e-3)],
+)
+def test_scalar_entry_points_reject_bad_values_up_front(config, call, bad):
+    # Rejected before any simulation or search: a NaN target must not run
+    # the engine, and a NaN power must not bisect to a meaningless speed.
+    with pytest.raises(ValueError):
+        call(config, bad)
+
+
 def test_range_regen_on_beats_regen_off(small_battery_config, udds):
     on = range_test(small_battery_config, udds, regen_enabled=True)
     off = range_test(small_battery_config, udds, regen_enabled=False)
@@ -315,14 +349,13 @@ def test_soc_dynamics_increases_only_during_braking(config, udds):
 
 
 def test_soc_dynamics_cruise_is_monotone_decrease(config):
-    from bevsim import synth_trapezoid
-
     cruise = synth_trapezoid(60.0, 30.0, 240.0)
     trace, _, _ = run(config, cruise)
     report = soc_dynamics_report(trace, config)
     # braking only at the final ramp-down; nothing during the cruise hold
-    hold = (trace.t_s > 40.0) & (trace.t_s < 260.0)
-    soc_hold = trace.soc[hold]
+    t = np.asarray(trace.t_s)
+    hold = (t > 40.0) & (t < 260.0)
+    soc_hold = np.asarray(trace.soc)[hold]
     assert np.all(np.diff(soc_hold) < 0.0)
     assert report.violation_steps == 0
 
