@@ -34,7 +34,9 @@ whose suspended frame is the carry: it starts from a public ``SimState``,
 yields the end ``SimState`` after each chunk of steps, and keeps what it
 accumulates (ledger sums, tracking-error maximum, cycle cursor, step index)
 between chunks, so a resumed kernel gives the bits of one unsplit call.
-``run`` takes one chunk for a whole run, from ``initial_state(config)``.
+``run`` takes one chunk for a whole run, from ``initial_state(config)``;
+the experiments' acceleration and top-speed scenarios send it chunks at
+full throttle until they have what their reports need.
 ``step`` runs one-step chunks with no trace collection: handed back the
 exact state object it last returned, with the same cycle and config
 objects, it resumes that kernel; any other state starts a new one. The

@@ -2,13 +2,17 @@
 
 Range, acceleration, and top-speed scenarios drive the engine; each
 performance scenario is paired with an oracle that never touches the
-engine (force-balance bisection for top speed, a fine-step reference
-integrator for acceleration), so wiring bugs cannot cancel out.
+engine (force-balance bisection for top speed, quadrature of the
+acceleration-time integral over speed for acceleration), so wiring bugs
+cannot cancel out, and neither oracle shares the engine's fixed-step time
+integration.
 
 Acceleration and top-speed runs pin the command at 1 instead of using the
 PI driver, so the results reflect the powertrain rather than controller
 tuning. Crossing times are linearly interpolated between steps to
-de-quantize the fixed step.
+de-quantize the fixed step. Both drive the engine's kernel in chunks:
+acceleration runs one kernel on until the crossing, and top speed keeps
+only what its report needs, so its memory does not grow with the duration.
 
 The module also records the published reference figures this vehicle
 parameter set is usually quoted with (regen range gain of 23/25/25.5%,
@@ -20,13 +24,23 @@ value next to the reference instead of asserting it. See the README.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Generator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .cycle import DriveCycle
 from .dynamics import aero_drag, rolling_resistance
-from .engine import EnergyLedger, SimSummary, SimTrace, run
+from .engine import (
+    EnergyLedger,
+    SimSummary,
+    SimTrace,
+    _advance,
+    _steps_for,
+    initial_state,
+    run,
+)
 from .errors import UnreachableTargetError
 from .params import RPM_KW_CONSTANT, VehicleConfig, motor_rpm_per_kmh
 
@@ -38,6 +52,10 @@ REFERENCE_TOP_SPEED_KMH = 190.0
 _ORACLE_TOLERANCE_KMH = 0.01
 _FULL_THROTTLE_TIME_CAP_S = 600.0
 _FIRST_ACCEL_HORIZON_S = 32.0
+_SIMPSON_INTERVALS = 400  # even; per side of the torque/power corner
+_TOP_SPEED_CHUNK_STEPS = 4096  # a chunk's 15 trace columns hold about 2 MB
+# Plots draw at most this many points of a trajectory, thinned by a stride.
+_MAX_PLOT_POINTS = 4000
 
 
 @dataclass(frozen=True)
@@ -78,7 +96,8 @@ class AccelReport:
 
 @dataclass(frozen=True)
 class TopSpeedReport:
-    """Full-throttle settled top speed against the force-balance oracle."""
+    """Full-throttle settled top speed against the force-balance oracle;
+    the trajectory is thinned as the plots thin it (see top_speed_test)."""
 
     vmax_kmh: float
     time_to_vmax_s: float
@@ -95,6 +114,23 @@ def _full_throttle_cycle() -> DriveCycle:
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite (got {value})")
+
+
+def _full_throttle(config: VehicleConfig) -> Generator:
+    """A primed kernel at rest (config validated, no step run) under the
+    pinned full-throttle command, collecting every step: each
+    ``send((n, True, 1.0))`` runs n more steps and yields their columns."""
+    kernel = _advance(
+        config, _full_throttle_cycle(), initial_state(config), 0,
+        True, None, True, 1.0, 1,
+    )
+    next(kernel)
+    return kernel
+
+
+def _plot_stride(n: int) -> int:
+    """Every how many points a trajectory of n is drawn (1 up to the cap)."""
+    return 1 if n <= _MAX_PLOT_POINTS else math.ceil(n / _MAX_PLOT_POINTS)
 
 
 def _crossing_time(
@@ -205,20 +241,20 @@ def accel_test(config: VehicleConfig, target_kmh: float = 100.0) -> AccelReport:
             f"target {target_kmh:g} km/h is not below the force-balance "
             f"top speed {vmax:.1f} km/h"
         )
-    # A shorter run from rest is an exact prefix of a longer one, so the
-    # horizon doubles up to the cap (or sim.max_sim_time, when shorter)
-    # until it holds the crossing.
+    # One kernel runs on from rest, its horizon doubling up to the cap (or
+    # sim.max_sim_time, when shorter), until it holds the crossing; by the
+    # chunk property these are the bits of a single run to that horizon.
+    kernel = _full_throttle(config)
+    dt = config.sim.dt
     cap = min(_FULL_THROTTLE_TIME_CAP_S, config.sim.max_sim_time)
     horizon = min(_FIRST_ACCEL_HORIZON_S, cap)
+    t_s: list[float] = []
+    v_kmh: list[float] = []
     while True:
-        trace, _, _ = run(
-            config,
-            _full_throttle_cycle(),
-            pinned_command=1.0,
-            max_time=horizon,
-            repeat=True,
-        )
-        t_cross, idx = _crossing_time(trace.t_s, trace.v_kmh, target_kmh)
+        cols = kernel.send((_steps_for(horizon, dt) - len(t_s), True, 1.0))[1]
+        t_s += cols[0]
+        v_kmh += cols[2]
+        t_cross, idx = _crossing_time(t_s, v_kmh, target_kmh)
         if t_cross is not None or horizon >= cap:
             break
         horizon = min(2.0 * horizon, cap)
@@ -226,7 +262,7 @@ def accel_test(config: VehicleConfig, target_kmh: float = 100.0) -> AccelReport:
         raise UnreachableTargetError(
             f"{target_kmh:g} km/h not reached within {cap:g} s"
         )
-    trajectory = tuple(zip(trace.t_s[: idx + 1], trace.v_kmh[: idx + 1]))
+    trajectory = tuple(zip(t_s[: idx + 1], v_kmh[: idx + 1]))
     return AccelReport(
         time_to_target_s=t_cross,
         target_kmh=target_kmh,
@@ -234,88 +270,135 @@ def accel_test(config: VehicleConfig, target_kmh: float = 100.0) -> AccelReport:
     )
 
 
-def accel_time_oracle(
-    config: VehicleConfig, target_kmh: float, dt: float = 1e-3
-) -> float:
-    """Reference 0-to-target time by brute-force fine-step integration.
+def accel_time_oracle(config: VehicleConfig, target_kmh: float) -> float:
+    """Reference 0-to-target time [s] by quadrature over speed.
 
-    Deliberately self-contained (no engine involved): full throttle along
-    the torque/power envelope against the road loads, semi-implicit Euler
-    at a fine step, with the crossing linearly interpolated.
+    The acceleration-time integral t = integral of m dv / (3.6 F_net(v))
+    from rest to the target (Ehsani et al., Modern Electric, Hybrid
+    Electric, and Fuel Cell Vehicles, ch. 2), by composite Simpson on each
+    side of the torque/power corner speed, where F_net has a kink. F_net
+    is the full-throttle envelope torque at the wheel (gr * eta_t / r_w)
+    minus rolling and aero resistance. No engine is involved, and the
+    method differs from the engine's fixed-step time integration.
 
     Raises:
-        ValueError: If the target is not finite or dt is not a finite
-            positive step.
-        UnreachableTargetError: If the target is not reached within the
-            full-throttle time cap.
+        ValueError: If the target is negative or not finite.
+        UnreachableTargetError: If F_net is not positive up to the target,
+            or the time exceeds the full-throttle time cap.
     """
     _require_finite("target", target_kmh)
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0 (got {dt})")
-    if target_kmh <= 0.0:
+    if target_kmh < 0.0:
+        raise ValueError(f"target must be >= 0 (got {target_kmh})")
+    if target_kmh == 0.0:
         return 0.0
     b = config.body
     mtr = config.motor
     d = config.drivetrain
-    rpm_per = d.gear_ratio * (60.0 / math.tau) / (3.6 * b.wheel_radius)
+    rpm_per = motor_rpm_per_kmh(b.wheel_radius, d.gear_ratio)
     force_per_nm = d.gear_ratio * d.transmission_efficiency / b.wheel_radius
-    static = b.mass * b.gravity * b.f0
-    v = 0.0
-    t = 0.0
-    while t < _FULL_THROTTLE_TIME_CAP_S:
+    kw_rpm = RPM_KW_CONSTANT * mtr.max_power
+    mg = b.mass * b.gravity
+    cd_af = b.drag_coefficient * b.frontal_area
+
+    def seconds_per_kmh(v: float) -> float:
         rpm = rpm_per * v
         if rpm > mtr.max_speed:
             tau = 0.0
         elif rpm > 0.0:
-            tau = min(mtr.max_torque, RPM_KW_CONSTANT * mtr.max_power / rpm)
+            tau = min(mtr.max_torque, kw_rpm / rpm)
         else:
             tau = mtr.max_torque
-        force = tau * force_per_nm
-        if v > 0.0:
-            x = v / 100.0
-            resist = b.mass * b.gravity * (b.f0 + b.f1 * x + b.f4 * x**4)
-            resist += b.drag_coefficient * b.frontal_area * v * v / 21.15
-            a = (force - resist) / b.mass
-        elif force > static:
-            a = force / b.mass
-        else:
-            a = 0.0
-        v2 = v + a * dt * 3.6
-        if v2 < 0.0:
-            v2 = 0.0
-        if v2 >= target_kmh:
-            return t + dt * (target_kmh - v) / (v2 - v)
-        if v2 <= v and v > 0.0:
-            break
-        v = v2
-        t += dt
-    raise UnreachableTargetError(
-        f"oracle: {target_kmh:g} km/h not reached within "
-        f"{_FULL_THROTTLE_TIME_CAP_S:g} s"
-    )
+        x = v / 100.0
+        net = tau * force_per_nm - mg * (b.f0 + b.f1 * x + b.f4 * x**4) - (
+            cd_af * v * v / 21.15
+        )
+        if net <= 0.0:
+            raise UnreachableTargetError(
+                f"oracle: {target_kmh:g} km/h not reachable: net force "
+                f"{net:.1f} N at {v:.1f} km/h"
+            )
+        return b.mass / (3.6 * net)
+
+    corner = kw_rpm / mtr.max_torque / rpm_per
+    if corner < target_kmh:
+        t = _simpson(seconds_per_kmh, 0.0, corner)
+        t += _simpson(seconds_per_kmh, corner, target_kmh)
+    else:
+        t = _simpson(seconds_per_kmh, 0.0, target_kmh)
+    if t > _FULL_THROTTLE_TIME_CAP_S:
+        raise UnreachableTargetError(
+            f"oracle: {target_kmh:g} km/h not reached within "
+            f"{_FULL_THROTTLE_TIME_CAP_S:g} s"
+        )
+    return t
+
+
+def _simpson(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Composite Simpson's rule for f over [lo, hi]."""
+    n = _SIMPSON_INTERVALS
+    h = (hi - lo) / n
+    odd = sum(f(lo + i * h) for i in range(1, n, 2))
+    even = sum(f(lo + i * h) for i in range(2, n, 2))
+    return (f(lo) + f(hi) + 4.0 * odd + 2.0 * even) * h / 3.0
 
 
 def top_speed_test(config: VehicleConfig, duration: float = 120.0) -> TopSpeedReport:
     """Full-throttle settled speed over ``duration`` (at most
-    sim.max_sim_time), compared against the force-balance root."""
-    trace, _, _ = run(
-        config,
-        _full_throttle_cycle(),
-        pinned_command=1.0,
-        max_time=duration,
-        repeat=True,
-    )
-    if len(trace) == 0:
+    sim.max_sim_time), compared against the force-balance root.
+
+    The settled speed is the run's maximum, reached at the first step
+    within 1 km/h of it. The kernel runs in chunks, and only three things
+    are kept, so memory does not grow with the duration: the running
+    maximum; the strict running-maximum records within 1 km/h of it (the
+    first step at or above the final maximum less 1 km/h is one of them);
+    and the trajectory thinned with the plots' stride: every step of a run
+    of at most 4000 steps, and every ceil(n / 4000)-th step of a longer
+    one, starting with the first.
+
+    Raises:
+        ValueError: If ``duration`` is not finite or too short for a step.
+    """
+    kernel = _full_throttle(config)
+    _require_finite("duration", duration)
+    dt = config.sim.dt
+    steps = min(_steps_for(duration, dt), _steps_for(config.sim.max_sim_time, dt))
+    if steps <= 0:
         raise ValueError("duration too short for a single step")
-    vmax = max(trace.v_kmh)
-    settle_idx = next(i for i, v in enumerate(trace.v_kmh) if v >= vmax - 1.0)
+    stride = _plot_stride(steps)
+    trajectory: list[tuple[float, float]] = []
+    vmax = -math.inf
+    record_v: list[float] = []  # ascending, as are their times
+    record_t: list[float] = []
+    done = 0
+    while done < steps:
+        n = min(steps - done, _TOP_SPEED_CHUNK_STEPS)
+        cols = kernel.send((n, True, 1.0))[1]
+        t_s, v_kmh = cols[0], cols[2]
+        first = -done % stride
+        trajectory += zip(t_s[first::stride], v_kmh[first::stride])
+        done += len(v_kmh)
+        top = max(v_kmh)
+        if top <= vmax:
+            continue
+        floor = top - 1.0
+        keep = bisect_left(record_v, floor)
+        del record_v[:keep], record_t[:keep]
+        # peaks[i] is the maximum before step i, so step i is a record when
+        # it exceeds peaks[i]; no step before the one that lifts the maximum
+        # to the floor can be a record at or above it.
+        peaks = list(accumulate(v_kmh, max, initial=vmax))
+        for i in range(bisect_left(peaks, floor, 1) - 1, len(v_kmh)):
+            if v_kmh[i] > peaks[i]:
+                record_v.append(v_kmh[i])
+                record_t.append(t_s[i])
+        vmax = top
     oracle = top_speed_oracle(config)
     return TopSpeedReport(
         vmax_kmh=vmax,
-        time_to_vmax_s=trace.t_s[settle_idx],
+        time_to_vmax_s=record_t[bisect_left(record_v, vmax - 1.0)],
         oracle_vmax_kmh=oracle,
         discrepancy_kmh=vmax - oracle,
-        speed_trajectory=tuple(zip(trace.t_s, trace.v_kmh)),
+        speed_trajectory=tuple(trajectory),
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .engine import SimTrace
 from .errors import PlotError
-from .experiments import AccelReport, TopSpeedReport
+from .experiments import AccelReport, TopSpeedReport, _plot_stride
 
 TARGET_COLOR = "#c62828"  # desired speed drawn red, actual black
 ACTUAL_COLOR = "#212121"
@@ -26,7 +26,6 @@ _MARGIN_L = 72
 _MARGIN_R = 24
 _MARGIN_T = 46
 _MARGIN_B = 52
-_MAX_POINTS = 4000
 
 
 @dataclass(frozen=True)
@@ -239,10 +238,9 @@ def _render_panel(panel: Panel, y_off: int, width: int) -> str:
 def _decimate(
     x: Sequence[float], y: Sequence[float]
 ) -> tuple[Sequence[float], Sequence[float]]:
-    n = len(x)
-    if n <= _MAX_POINTS:
+    stride = _plot_stride(len(x))
+    if stride == 1:
         return x, y
-    stride = math.ceil(n / _MAX_POINTS)
     return x[::stride], y[::stride]
 
 

@@ -16,9 +16,12 @@ engine's flat ``SimState`` and flattens its result back into one. The
 component operations have their own unit tests in ``test_driver``,
 ``test_dynamics`` and ``test_powertrain``.
 
-Two oracles that no package code calls live here too: ``target_speed``,
-the cycle lookup the kernel's cursor must reproduce, and
-``soc_dynamics_report``, which classifies every SoC rise in a trace.
+Three oracles that no package code calls live here too: ``target_speed``,
+the cycle lookup the kernel's cursor must reproduce;
+``soc_dynamics_report``, which classifies every SoC rise in a trace; and
+``euler_accel_time``, a fine-step time integration of full-throttle
+acceleration that cross-checks the package's quadrature oracle
+(``experiments.accel_time_oracle``) by a different method.
 """
 
 from __future__ import annotations
@@ -40,7 +43,12 @@ from bevsim.engine import (
     TraceRecord,
     initial_state,
 )
-from bevsim.errors import DegenerateVoltageError, EnvelopeError
+from bevsim.errors import (
+    DegenerateVoltageError,
+    EnvelopeError,
+    UnreachableTargetError,
+)
+from bevsim.experiments import _FULL_THROTTLE_TIME_CAP_S
 from bevsim.params import (
     RPM_KW_CONSTANT,
     BatteryParams,
@@ -734,4 +742,64 @@ def soc_dynamics_report(
             float(x) for x in np.asarray(trace.t_s)[rising]
         ),
         per_cycle_soc_delta=per_cycle,
+    )
+
+
+# -- acceleration: fine-step time integration ---------------------------------
+
+
+def euler_accel_time(
+    config: VehicleConfig, target_kmh: float, dt: float = 1e-3
+) -> float:
+    """0-to-target time [s] by semi-implicit Euler at a fine step.
+
+    Full throttle along the torque/power envelope against the road loads,
+    with the crossing linearly interpolated; at rest the car launches
+    against no resistance once the drive force beats m*g*f0, as the engine
+    does.
+
+    Raises:
+        UnreachableTargetError: If the speed stops rising, or the target is
+            not reached within the full-throttle time cap.
+    """
+    if target_kmh <= 0.0:
+        return 0.0
+    b = config.body
+    mtr = config.motor
+    d = config.drivetrain
+    rpm_per = d.gear_ratio * (60.0 / math.tau) / (3.6 * b.wheel_radius)
+    force_per_nm = d.gear_ratio * d.transmission_efficiency / b.wheel_radius
+    static = b.mass * b.gravity * b.f0
+    v = 0.0
+    t = 0.0
+    while t < _FULL_THROTTLE_TIME_CAP_S:
+        rpm = rpm_per * v
+        if rpm > mtr.max_speed:
+            tau = 0.0
+        elif rpm > 0.0:
+            tau = min(mtr.max_torque, RPM_KW_CONSTANT * mtr.max_power / rpm)
+        else:
+            tau = mtr.max_torque
+        force = tau * force_per_nm
+        if v > 0.0:
+            x = v / 100.0
+            resist = b.mass * b.gravity * (b.f0 + b.f1 * x + b.f4 * x**4)
+            resist += b.drag_coefficient * b.frontal_area * v * v / 21.15
+            a = (force - resist) / b.mass
+        elif force > static:
+            a = force / b.mass
+        else:
+            a = 0.0
+        v2 = v + a * dt * 3.6
+        if v2 < 0.0:
+            v2 = 0.0
+        if v2 >= target_kmh:
+            return t + dt * (target_kmh - v) / (v2 - v)
+        if v2 <= v and v > 0.0:
+            break
+        v = v2
+        t += dt
+    raise UnreachableTargetError(
+        f"euler: {target_kmh:g} km/h not reached within "
+        f"{_FULL_THROTTLE_TIME_CAP_S:g} s"
     )

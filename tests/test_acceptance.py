@@ -102,7 +102,7 @@ def test_a4_acceleration(config):
     ok = rel <= 0.01 and elapsed < 2.0
     _report(
         f"A4 acceleration: {'PASS' if ok else 'FAIL'} — 0-100 km/h in "
-        f"{report.time_to_target_s:.2f} s vs fine-step oracle {oracle_s:.2f} s "
+        f"{report.time_to_target_s:.2f} s vs quadrature oracle {oracle_s:.2f} s "
         f"(rel diff {100.0 * rel:.2f}% <= 1%); published reference "
         f"{REFERENCE_ACCEL_TIME_S} s is a known discrepancy; "
         f"runtime {elapsed:.2f} s < 2 s"

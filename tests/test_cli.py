@@ -1,14 +1,11 @@
 import json
-import os
 import subprocess
 import sys
 from array import array
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import bevsim
 from bevsim import PlotError, cli, parse_config, run, synth_trapezoid
 from bevsim.cli import build_parser, emit_trace, main
 from bevsim.cycle import serialize_cycle
@@ -509,14 +506,11 @@ assert not loaded, loaded
 """
 
 
-def test_cli_runs_without_numpy(tmp_path):
-    src = str(Path(bevsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
+def test_cli_runs_without_numpy(tmp_path, package_env):
     proc = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY_RUN],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=package_env, capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     for name in ("sim.csv", "sim.svg", "r.csv", "r.svg", "a.svg", "t.svg"):

@@ -1,10 +1,13 @@
 import math
 import random
+import subprocess
+import sys
+from array import array
 
 import numpy as np
 import pytest
 
-from step_reference import soc_dynamics_report
+from step_reference import euler_accel_time, soc_dynamics_report
 
 from bevsim import (
     UnreachableTargetError,
@@ -19,8 +22,12 @@ from bevsim import (
     top_speed_oracle,
     top_speed_test,
 )
+from bevsim.engine import initial_state, step
 from bevsim.experiments import (
+    _FIRST_ACCEL_HORIZON_S,
     _FULL_THROTTLE_TIME_CAP_S,
+    _MAX_PLOT_POINTS,
+    _TOP_SPEED_CHUNK_STEPS,
     AccelReport,
     _crossing_time,
     _full_throttle_cycle,
@@ -110,6 +117,39 @@ def test_top_speed_oracle_agreement_over_random_configs():
         assert abs(report.discrepancy_kmh) <= 2.0, cfg
 
 
+def _time_or_unreachable(fn, cfg, target):
+    try:
+        return fn(cfg, target)
+    except UnreachableTargetError:
+        return None
+
+
+def test_accel_time_oracle_agrees_with_euler_reference_over_random_configs():
+    # Quadrature over speed against fine-step time integration, from
+    # 50 km/h up to 1 km/h below the force-balance top speed. That top
+    # speed ignores the torque cap, so a torque-limited config may not
+    # reach it: then both methods must call the target unreachable.
+    rng = random.Random(42)
+    reached = 0
+    for _ in range(10):
+        cfg = _random_config(rng)
+        vmax = top_speed_oracle(cfg)
+        for target in (50.0, 100.0, 0.5 * (49.0 + vmax), vmax - 1.0):
+            quad = _time_or_unreachable(accel_time_oracle, cfg, target)
+            euler = _time_or_unreachable(euler_accel_time, cfg, target)
+            assert (quad is None) == (euler is None), (cfg, target)
+            if euler is not None:
+                reached += 1
+                assert quad == pytest.approx(euler, rel=1e-4), (cfg, target)
+    assert reached >= 35
+
+
+def test_accel_time_oracle_takes_no_time_step(config):
+    # The quadrature integrates over speed: there is no dt to pass.
+    with pytest.raises(TypeError):
+        accel_time_oracle(config, 50.0, dt=1e-3)
+
+
 def test_accel_time_agrees_with_fine_step_oracle_over_random_configs():
     rng = random.Random(42)
     for _ in range(10):
@@ -133,6 +173,7 @@ def test_accel_default_config(config):
 def test_accel_zero_target(config):
     report = accel_test(config, 0.0)
     assert report.time_to_target_s == 0.0
+    assert accel_time_oracle(config, 0.0) == 0.0
 
 
 def test_accel_unreachable_target(config):
@@ -177,18 +218,24 @@ def _accel_bits(report):
         ({}, 100.0),
         ({}, 150.0),
         ({}, "oracle-1.5"),  # crosses after about 93 s
+        ({"mass": 4_000.0}, 100.0),  # after about 40 s
         ({"mass": 60_000.0, "f0": 0.0}, 100.0),  # after about 534 s
     ],
-    ids=["50", "100", "150", "near-top-speed", "crosses-in-last-horizon"],
+    ids=[
+        "50", "100", "150", "near-top-speed", "weak-crosses-after-first-horizon",
+        "crosses-in-last-horizon",
+    ],
 )
 def test_accel_matches_full_cap_run_bit_for_bit(config, body, target):
-    # accel_test stops at the first horizon holding the crossing; a shorter
-    # run from rest is a prefix of the full-cap run, so nothing may change.
+    # accel_test runs one kernel on until the crossing, in chunks; by the
+    # chunk property it must give the bits of the full-cap run's prefix.
     config = with_overrides(config, body=body)
     if target == "oracle-1.5":
         target = top_speed_oracle(config) - 1.5
     want = _accel_over_full_cap(config, target)
     assert want is not None
+    if body:
+        assert want.time_to_target_s > _FIRST_ACCEL_HORIZON_S
     assert _accel_bits(accel_test(config, target)) == _accel_bits(want)
 
 
@@ -203,6 +250,25 @@ def test_accel_not_reached_within_cap_matches_full_cap_run(config):
     assert str(exc.value) == (
         f"100 km/h not reached within {_FULL_THROTTLE_TIME_CAP_S:g} s"
     )
+    with pytest.raises(UnreachableTargetError):
+        accel_time_oracle(heavy, 100.0)
+
+
+def test_accel_crossing_just_past_the_cap_is_unreachable(config):
+    # A 90 t car reaches 100 km/h after about 801 s: past the time cap, so
+    # both the scenario, which must not run past its last horizon, and
+    # the quadrature oracle call the target unreachable.
+    heavy = with_overrides(config, body={"mass": 90_000.0, "f0": 0.0})
+    trace, _, _ = run(
+        heavy, _full_throttle_cycle(), pinned_command=1.0, max_time=900.0,
+        repeat=True,
+    )
+    assert _crossing_time(trace.t_s, trace.v_kmh, 100.0)[0] < 900.0
+    assert _accel_over_full_cap(heavy, 100.0) is None
+    with pytest.raises(UnreachableTargetError):
+        accel_test(heavy, 100.0)
+    with pytest.raises(UnreachableTargetError):
+        accel_time_oracle(heavy, 100.0)
 
 
 def test_top_speed_and_accel_stay_within_max_sim_time(config):
@@ -216,6 +282,66 @@ def test_top_speed_and_accel_stay_within_max_sim_time(config):
     with pytest.raises(UnreachableTargetError) as exc:
         accel_test(cfg, 100.0)
     assert str(exc.value) == "100 km/h not reached within 10 s"
+
+
+# Peak RSS growth [KiB on Linux] of a 200 k-step top-speed run, measured in
+# a fresh process after a short warm-up run. tracemalloc is no use here: it
+# resolves a line number in the large kernel frame on every allocation,
+# which makes this run over a hundred times slower.
+_TOP_SPEED_PEAK_GROWTH = """
+import resource
+from bevsim import default_config, top_speed_test
+
+config = default_config()
+top_speed_test(config, 200.0)
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+top_speed_test(config, 20_000.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+
+
+def test_top_speed_memory_stays_flat_over_a_long_run(package_env):
+    # A full trace of these 200 k steps grew the peak by over 100 MB.
+    proc = subprocess.run(
+        [sys.executable, "-c", _TOP_SPEED_PEAK_GROWTH],
+        env=package_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 10_000
+
+
+@pytest.mark.parametrize(
+    "body, duration",
+    [
+        ({}, 120.0),
+        ({}, 410.0),
+        ({"mass": 60_000.0, "f0": 0.0}, 3000.0),
+        ({}, 20_000.0),
+    ],
+    ids=["one-chunk", "stride-2", "settles-in-a-later-chunk", "200k-steps"],
+)
+def test_top_speed_matches_every_step_bit_for_bit(config, body, duration):
+    # top_speed_test keeps only a bounded reduction of its run; its report
+    # must equal one computed from every step, and its trajectory must be
+    # every stride-th step, as the plot would thin the full one.
+    config = with_overrides(config, body=body)
+    report = top_speed_test(config, duration)
+    steps = round(duration / config.sim.dt)
+    state, cycle = initial_state(config), _full_throttle_cycle()
+    t_s, v_kmh = array("d"), array("d")
+    for _ in range(steps):
+        state, _ = step(state, cycle, config, pinned_command=1.0)
+        t_s.append(state.t_s)
+        v_kmh.append(state.speed_kmh)
+    vmax = max(v_kmh)
+    settle = next(i for i, v in enumerate(v_kmh) if v >= vmax - 1.0)
+    assert report.vmax_kmh.hex() == vmax.hex()
+    assert report.time_to_vmax_s.hex() == t_s[settle].hex()
+    assert report.discrepancy_kmh.hex() == (vmax - report.oracle_vmax_kmh).hex()
+    stride = max(1, math.ceil(steps / _MAX_PLOT_POINTS))
+    assert report.speed_trajectory == tuple(zip(t_s[::stride], v_kmh[::stride]))
+    if body:
+        assert report.time_to_vmax_s > _TOP_SPEED_CHUNK_STEPS * config.sim.dt
 
 
 def test_size_motor_values(config):
@@ -232,17 +358,13 @@ def test_design_speed_for_published_rating(config):
     assert size_motor(config, speed) == pytest.approx(29.48, abs=0.01)
 
 
-def _oracle_step(cfg, dt):
-    return accel_time_oracle(cfg, 50.0, dt=dt)
-
-
 def _range_floor(cfg, floor):
     return range_test(cfg, synth_trapezoid(50.0, 10.0, 10.0), soc_floor=floor)
 
 
 _SCALAR_ENTRY_POINTS = (
     size_motor, design_speed_for_power, accel_test, accel_time_oracle,
-    _oracle_step, _range_floor,
+    top_speed_test, _range_floor,
 )
 
 
@@ -253,8 +375,12 @@ _SCALAR_ENTRY_POINTS = (
         for fn in _SCALAR_ENTRY_POINTS
         for x in (math.nan, math.inf, -math.inf)
     ]
-    # A zero or negative oracle step never advances time.
-    + [pytest.param(_oracle_step, x, id=f"_oracle_step-{x}") for x in (0.0, -1e-3)],
+    # A negative target is outside the domain of both the acceleration
+    # scenario and its oracle.
+    + [
+        pytest.param(fn, -5.0, id=f"{fn.__name__}--5.0")
+        for fn in (accel_test, accel_time_oracle)
+    ],
 )
 def test_scalar_entry_points_reject_bad_values_up_front(config, call, bad):
     # Rejected before any simulation or search: a NaN target must not run
