@@ -21,7 +21,11 @@ Engine-level rules on top of the per-step formulas:
   discarded (counted as drivetrain loss). This keeps the mechanical
   trajectory identical between regen-on and regen-off runs, so range
   comparisons isolate energy recovery; it also makes regen-off exactly
-  equivalent to regen_efficiency = 0.
+  equivalent to regen_efficiency = 0. Nothing mechanical reads the battery,
+  so the kernel can carry a second, regen-off battery lane over the one
+  trajectory: the regen comparison runs both legs as one pass, with the
+  driver, split, road loads, integration, cycle lookup, tracking error and
+  mechanical ledger terms computed once per step.
 * Beyond the motor speed ceiling the commanded torque is capped to zero
   rather than raising mid-run.
 
@@ -291,6 +295,11 @@ def _steps_for(duration_s: float, dt: float) -> int:
     return int(math.ceil(q))
 
 
+def _cycles_completed(t: float, dt: float, duration: float) -> int:
+    """Whole passes of a cycle of ``duration`` seconds completed by time t."""
+    return int((t + dt * 1e-6) / duration) if duration > 0.0 else 0
+
+
 def run(
     config: VehicleConfig,
     cycle: DriveCycle,
@@ -370,7 +379,7 @@ def run(
         ),
         energy_out_kwh=energy_out,
         energy_regen_kwh=energy_regen,
-        cycles_completed=int((t + dt * 1e-6) / duration) if duration > 0.0 else 0,
+        cycles_completed=_cycles_completed(t, dt, duration),
         stop_reason=reason,
     )
     ledger = EnergyLedger(*(e / _J_PER_KWH for e in ledger_j))
@@ -430,6 +439,7 @@ def _advance(
     repeat: bool,
     pinned_command: float | None,
     trace_every: int,
+    off_lane: list | None = None,
 ) -> Generator[tuple, tuple, None]:
     """The simulation kernel, a generator whose suspended frame is the carry.
 
@@ -449,6 +459,17 @@ def _advance(
     voltage, energy out, energy regen, soc saturated). t may lie anywhere in
     the cycle, but a repeating run must start within its first pass; a step
     that clamps the soc sets the flag.
+
+    A list ``off_lane`` adds a regen-off battery lane that starts from
+    ``start`` and rides on the one trajectory (see the module notes): it
+    keeps only its own current, soc, voltage, energy totals and
+    battery-side ledger terms. A regen step leaves the main lane's voltage
+    higher and its later currents no larger, so the lane reaches
+    ``stop_at_soc`` no later than the main lane; it stops after that step.
+    ``off_lane`` then holds ``[(end, ledger_j, max_err)]`` as at a yield,
+    written when the lane stops and at each yield while it runs, or
+    ``[DegenerateVoltageError]`` for the caller to raise once the main lane
+    is through, as a regen-off leg run after the regen-on one would.
     """
     (
         dt, m, f0, f1, f4, rw, gr, eta_t, fric_max, eta_regen, cutoff,
@@ -468,6 +489,15 @@ def _advance(
     # Ledger accumulators [J] and tracking-error maximum.
     e_out = e_regen = e_resist = e_roll = e_aero = e_fric = e_drive = e_kin = 0.0
     max_err = 0.0
+
+    floor = -math.inf if stop_at_soc is None else stop_at_soc  # -inf: no floor
+
+    # The regen-off lane's battery state and ledger terms; lane_limit holds
+    # the step limit while the lane's floor stop borrows it.
+    lane = off_lane is not None
+    lane_limit = None
+    soc_o, vterm_o, out_o, regen_o, sat_o = soc, vterm, cum_out, cum_regen, saturated
+    e_out_o = e_drive_o = e_resist_o = 0.0
 
     collect = trace_every > 0
     # Nothing is appended without collection, so empty tuples serve.
@@ -496,12 +526,23 @@ def _advance(
     # ``while True`` on purpose: CPython 3.11 warms a function up for
     # specialisation on a loop's unconditional backward jump, so a loop
     # condition here leaves the kernel unspecialised for a process's first
-    # calls (each pool worker of a range comparison makes only one). The
-    # chunk boundary is a branch inside the loop, so a resumed kernel keeps
-    # taking that jump too.
+    # calls. The chunk boundary is a branch inside the loop, so a resumed
+    # kernel keeps taking that jump too.
     k = 0
     while True:
-        if k >= step_limit or (stop_at_soc is not None and soc <= stop_at_soc):
+        if k >= step_limit or soc <= floor:
+            if lane or lane_limit is not None:
+                off_lane[:] = ((
+                    tuple_new(SimState, (
+                        t, v, dist, integ, soc_o, vterm_o, out_o, regen_o, sat_o
+                    )),
+                    (e_out_o, 0.0, e_kin, e_roll, e_aero, e_fric, e_drive_o,
+                     e_resist_o),
+                    max_err,
+                ),)
+                if lane_limit is not None:  # the lane reached its floor
+                    step_limit, lane_limit = lane_limit, None
+                    continue
             n, regen_enabled, pinned_command = yield (
                 tuple_new(SimState, (
                     t, v, dist, integ, soc, vterm, cum_out, cum_regen, saturated
@@ -629,7 +670,8 @@ def _advance(
                 f"terminal voltage {vterm:.3f} V below 1 V floor at t = {t:.1f} s"
             )
         current = 1000.0 * p_batt / vterm + 0.0
-        soc = soc - eta_c * current * dt / charge_as
+        d_soc = eta_c * current * dt / charge_as
+        soc = soc - d_soc
         if soc > 1.0:
             soc = 1.0
             saturated = True
@@ -647,17 +689,63 @@ def _advance(
         # --- ledger (storage-side battery energy; midpoint displacement) ---
         s_mid = (v_ms + v2_ms) * 0.5 * dt
         if current > 0.0:
-            e_out += vn * current * dt
+            out_j = vn * current * dt
+            e_out += out_j
         elif current < 0.0:
             e_regen += -vn * current * dt
         # Terminal electrical net minus wheel net work; covers propulsion
         # losses, regen losses, and discarded regen when charging is off.
-        e_drive += e_term_j - (f_p - f_regen) * s_mid
-        e_resist += z * current * current * dt
+        wheel_j = (f_p - f_regen) * s_mid
+        drive_j = e_term_j - wheel_j
+        e_drive += drive_j
+        resist_j = z * current * current * dt
+        e_resist += resist_j
         e_roll += rr * s_mid
         e_aero += wr * s_mid
         e_fric += f_fric * s_mid
         e_kin += half_m * (v2_ms * v2_ms - v_ms * v_ms)
+
+        # --- regen-off lane: its battery and battery-side ledger terms ---
+        # It draws only when motoring, so its soc only falls and its regen
+        # totals stay put. Adding or skipping a zero term gives the same
+        # bits, so a step that draws nothing only resets the voltage and
+        # moves the drivetrain term.
+        if lane:
+            if vterm_o < 1.0:
+                lane = False
+                off_lane[:] = (DegenerateVoltageError(
+                    f"terminal voltage {vterm_o:.3f} V below 1 V floor "
+                    f"at t = {t:.1f} s"
+                ),)
+            elif tau_p > 0.0:
+                cur_o = 1000.0 * p_batt / vterm_o + 0.0
+                if cur_o == current and cur_o > 0.0:
+                    # Same current, same terms: the lanes' voltages have
+                    # met again since the last regen step (most steps).
+                    soc_o = soc_o - d_soc
+                    vterm_o = vterm
+                    out_o += e_term_kwh
+                    e_out_o += out_j
+                    e_drive_o += drive_j
+                    e_resist_o += resist_j
+                else:
+                    soc_o = soc_o - eta_c * cur_o * dt / charge_as
+                    vterm_o = vn - z * cur_o
+                    e_term_j = vterm_o * cur_o * dt
+                    out_o += e_term_j / 3.6e6
+                    e_out_o += vn * cur_o * dt
+                    e_drive_o += e_term_j - wheel_j
+                    e_resist_o += z * cur_o * cur_o * dt
+                if soc_o < 0.0:
+                    soc_o = 0.0
+                    sat_o = True
+                if soc_o <= floor:
+                    # Stop the lane at the next loop top, after this step.
+                    lane = False
+                    step_limit, lane_limit = k + 1, step_limit
+            else:
+                vterm_o = vn
+                e_drive_o -= wheel_j
 
         # --- advance time, look up next target, record ---
         t = t + dt

@@ -2,10 +2,16 @@
 
 Range, acceleration, and top-speed scenarios drive the engine; each
 performance scenario is paired with an oracle that never touches the
-engine (force-balance bisection for top speed, quadrature of the
-acceleration-time integral over speed for acceleration), so wiring bugs
-cannot cancel out, and neither oracle shares the engine's fixed-step time
-integration.
+engine (bisection of the full-throttle force balance for top speed,
+quadrature of the acceleration-time integral over that same net force for
+acceleration), so wiring bugs cannot cancel out, and neither oracle shares
+the engine's fixed-step time integration.
+
+The regen comparison runs both depletion legs as one kernel pass in this
+process, a regen-off battery lane beside the regen-on one, since both
+follow one trajectory. It accepts and ignores ``parallel``, which
+``perfbench/workloads.py`` passes; ``perfbench/tracer.py`` swaps the
+``ProcessPoolExecutor`` name, so it stays bound.
 
 Acceleration and top-speed runs pin the command at 1 instead of using the
 PI driver, so the results reflect the powertrain rather than controller
@@ -26,17 +32,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Callable, Generator, Sequence
-from concurrent.futures import ProcessPoolExecutor
+# Bound but unused: perfbench/tracer.py swaps this name (see above).
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .cycle import DriveCycle
 from .dynamics import aero_drag, rolling_resistance
 from .engine import (
+    _J_PER_KWH,
     EnergyLedger,
     SimSummary,
     SimTrace,
     _advance,
+    _cycles_completed,
     _steps_for,
     initial_state,
     run,
@@ -148,6 +157,19 @@ def _crossing_time(
     return t_prev + (t[i] - t_prev) * frac, i
 
 
+def _depletion_floor(config: VehicleConfig, soc_floor: float | None) -> float:
+    """A depletion run's soc floor (the config's unless given), checked to
+    be finite and below the initial soc."""
+    floor = config.battery.soc_floor if soc_floor is None else soc_floor
+    _require_finite("soc floor", floor)
+    if config.battery.initial_soc <= floor:
+        raise ValueError(
+            f"initial_soc {config.battery.initial_soc} must exceed the "
+            f"soc floor {floor}"
+        )
+    return floor
+
+
 def range_test_detailed(
     config: VehicleConfig,
     cycle: DriveCycle,
@@ -156,17 +178,11 @@ def range_test_detailed(
     trace_every: int = 0,
 ) -> tuple[RangeReport, SimTrace, SimSummary, EnergyLedger]:
     """Repeat the cycle until the SoC floor; also return trace/summary/ledger."""
-    floor = config.battery.soc_floor if soc_floor is None else soc_floor
-    if config.battery.initial_soc <= floor:
-        raise ValueError(
-            f"initial_soc {config.battery.initial_soc} must exceed the "
-            f"soc floor {floor}"
-        )
     trace, summary, ledger = run(
         config,
         cycle,
         regen_enabled=regen_enabled,
-        stop_at_soc=floor,
+        stop_at_soc=_depletion_floor(config, soc_floor),
         repeat=True,
         trace_every=trace_every,
     )
@@ -182,14 +198,33 @@ def range_test_detailed(
     return report, trace, summary, ledger
 
 
-def range_test(
-    config: VehicleConfig,
-    cycle: DriveCycle,
-    regen_enabled: bool = True,
-    soc_floor: float | None = None,
-) -> RangeReport:
-    """Repeat the cycle until the SoC floor and report the totals."""
-    return range_test_detailed(config, cycle, regen_enabled, soc_floor)[0]
+def _regen_lanes(
+    config: VehicleConfig, cycle: DriveCycle, soc_floor: float | None = None
+) -> tuple[tuple[RangeReport, EnergyLedger], tuple[RangeReport, EnergyLedger]]:
+    """``range_test_detailed``'s report and ledger with regen on and with it
+    off, bit for bit, from one kernel pass carrying a regen-off battery
+    lane beside the main one; its errors are those of the two legs run in
+    that order."""
+    floor = _depletion_floor(config, soc_floor)
+    dt = config.sim.dt
+    off_lane: list = []
+    end, _, ledger_j, max_err, _ = next(_advance(
+        config, cycle, initial_state(config),
+        _steps_for(config.sim.max_sim_time, dt), True, floor, True, None, 0,
+        off_lane,
+    ))
+    (lane,) = off_lane
+    if isinstance(lane, Exception):
+        raise lane
+    legs = []
+    for regen, (end, ledger_j, _) in ((True, (end, ledger_j, max_err)), (False, lane)):
+        t, _, dist, _, soc, _, energy_out, energy_regen, _ = end
+        report = RangeReport(
+            dist, _cycles_completed(t, dt, cycle.duration_s),
+            config.battery.initial_soc, soc, energy_out, energy_regen, regen,
+        )
+        legs.append((report, EnergyLedger(*(e / _J_PER_KWH for e in ledger_j))))
+    return legs[0], legs[1]
 
 
 def regen_comparison(
@@ -201,23 +236,22 @@ def regen_comparison(
     """Run the depletion test with and without energy recovery.
 
     Recovery off disables the charging path only (braking behavior is
-    identical in both legs), so the gain isolates the recovered energy.
-    The legs run concurrently when ``parallel`` is set and the platform
-    supports it; results are identical either way.
+    identical in both legs), so the gain isolates the recovered energy,
+    and both legs follow one trajectory: they run as one pass in this
+    process, a regen-off battery lane beside the regen-on one, and each
+    report equals ``range_test_detailed``'s bit for bit. ``parallel`` is
+    accepted and ignored; ``perfbench/workloads.py`` still passes it.
+
+    Raises:
+        ValueError: If the regen-off leg covers no distance, which leaves
+            the gain undefined.
     """
-    on = off = None
-    if parallel:
-        try:
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                fut_on = pool.submit(range_test, config, cycle, True, soc_floor)
-                fut_off = pool.submit(range_test, config, cycle, False, soc_floor)
-                on = fut_on.result()
-                off = fut_off.result()
-        except (OSError, RuntimeError):
-            on = off = None
-    if on is None or off is None:
-        on = range_test(config, cycle, True, soc_floor)
-        off = range_test(config, cycle, False, soc_floor)
+    (on, _), (off, _) = _regen_lanes(config, cycle, soc_floor)
+    if off.distance_km == 0.0:
+        raise ValueError(
+            f"the regen-off leg covered no distance (soc_end {off.soc_end:g}), "
+            "so the range gain is undefined"
+        )
     gain = on.distance_km / off.distance_km - 1.0
     return RegenComparisonReport(regen_on=on, regen_off=off, gain_fraction=gain)
 
@@ -291,35 +325,18 @@ def accel_time_oracle(config: VehicleConfig, target_kmh: float) -> float:
         raise ValueError(f"target must be >= 0 (got {target_kmh})")
     if target_kmh == 0.0:
         return 0.0
-    b = config.body
-    mtr = config.motor
-    d = config.drivetrain
-    rpm_per = motor_rpm_per_kmh(b.wheel_radius, d.gear_ratio)
-    force_per_nm = d.gear_ratio * d.transmission_efficiency / b.wheel_radius
-    kw_rpm = RPM_KW_CONSTANT * mtr.max_power
-    mg = b.mass * b.gravity
-    cd_af = b.drag_coefficient * b.frontal_area
+    net_force, _, corner = _net_force(config)
+    mass = config.body.mass
 
     def seconds_per_kmh(v: float) -> float:
-        rpm = rpm_per * v
-        if rpm > mtr.max_speed:
-            tau = 0.0
-        elif rpm > 0.0:
-            tau = min(mtr.max_torque, kw_rpm / rpm)
-        else:
-            tau = mtr.max_torque
-        x = v / 100.0
-        net = tau * force_per_nm - mg * (b.f0 + b.f1 * x + b.f4 * x**4) - (
-            cd_af * v * v / 21.15
-        )
+        net = net_force(v)
         if net <= 0.0:
             raise UnreachableTargetError(
                 f"oracle: {target_kmh:g} km/h not reachable: net force "
                 f"{net:.1f} N at {v:.1f} km/h"
             )
-        return b.mass / (3.6 * net)
+        return mass / (3.6 * net)
 
-    corner = kw_rpm / mtr.max_torque / rpm_per
     if corner < target_kmh:
         t = _simpson(seconds_per_kmh, 0.0, corner)
         t += _simpson(seconds_per_kmh, corner, target_kmh)
@@ -333,13 +350,55 @@ def accel_time_oracle(config: VehicleConfig, target_kmh: float) -> float:
     return t
 
 
+def _net_force(
+    config: VehicleConfig,
+) -> tuple[Callable[[float], float], float, float]:
+    """F_net(v) [N] at v [km/h], with the motor speed ceiling and the
+    torque/power corner [km/h]. F_net is the full-throttle envelope torque
+    at the wheel (gr * eta_t / r_w; zero above the ceiling) minus rolling
+    and aero resistance, and falls as the speed rises."""
+    b = config.body
+    mtr = config.motor
+    d = config.drivetrain
+    rpm_per = motor_rpm_per_kmh(b.wheel_radius, d.gear_ratio)
+    v_cap = mtr.max_speed / rpm_per
+    force_per_nm = d.gear_ratio * d.transmission_efficiency / b.wheel_radius
+    kw_rpm = RPM_KW_CONSTANT * mtr.max_power
+    mg = b.mass * b.gravity
+    cd_af = b.drag_coefficient * b.frontal_area
+
+    def net_force(v: float) -> float:
+        rpm = rpm_per * v
+        if v > v_cap:
+            tau = 0.0
+        elif rpm > 0.0:
+            tau = min(mtr.max_torque, kw_rpm / rpm)
+        else:
+            tau = mtr.max_torque
+        x = v / 100.0
+        return tau * force_per_nm - mg * (b.f0 + b.f1 * x + b.f4 * x**4) - (
+            cd_af * v * v / 21.15
+        )
+
+    return net_force, v_cap, kw_rpm / mtr.max_torque / rpm_per
+
+
 def _simpson(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Composite Simpson's rule for f over [lo, hi]."""
+    """Composite Simpson's rule for f over [lo, hi]: 400 intervals, doubled
+    (up to 64 times as many) while the rule on half as many differs by
+    more than 1e-6 relative. Close below the top speed, 1 / F_net rises
+    too steeply for 400."""
     n = _SIMPSON_INTERVALS
-    h = (hi - lo) / n
-    odd = sum(f(lo + i * h) for i in range(1, n, 2))
-    even = sum(f(lo + i * h) for i in range(2, n, 2))
-    return (f(lo) + f(hi) + 4.0 * odd + 2.0 * even) * h / 3.0
+    while True:
+        h = (hi - lo) / n
+        odd = sum(f(lo + i * h) for i in range(1, n, 2))
+        evens = [f(lo + i * h) for i in range(2, n, 2)]
+        ends = f(lo) + f(hi)
+        total = (ends + 4.0 * odd + 2.0 * sum(evens)) * h / 3.0
+        half = (ends + 4.0 * sum(evens[::2]) + 2.0 * sum(evens[1::2])) * h * 2.0 / 3.0
+        if abs(total - half) <= 1e-6 * total or n >= 64 * _SIMPSON_INTERVALS:
+            return total
+        n *= 2
 
 
 def top_speed_test(config: VehicleConfig, duration: float = 120.0) -> TopSpeedReport:
@@ -405,27 +464,17 @@ def top_speed_test(config: VehicleConfig, duration: float = 120.0) -> TopSpeedRe
 def top_speed_oracle(config: VehicleConfig) -> float:
     """Force-balance top speed [km/h] by bisection.
 
-    Root of eta_t * max_power = v * (RR(v) + WR(v)) / 3600 over speeds up
-    to the motor speed ceiling; capped at the ceiling when the resistive
-    root lies beyond it.
+    Root of the full-throttle net force that ``accel_time_oracle``
+    integrates (torque- or power-limited), over speeds up to the motor
+    speed ceiling; capped at the ceiling when the root lies beyond it.
     """
-    b = config.body
-    d = config.drivetrain
-    mtr = config.motor
-    v_cap = mtr.max_speed / motor_rpm_per_kmh(b.wheel_radius, d.gear_ratio)
-    wheel_kw = d.transmission_efficiency * mtr.max_power
-
-    def surplus(v_kmh: float) -> float:
-        return wheel_kw - v_kmh * (
-            rolling_resistance(b, v_kmh) + aero_drag(b, v_kmh)
-        ) / 3600.0
-
-    if surplus(v_cap) >= 0.0:
+    net_force, v_cap, _ = _net_force(config)
+    if net_force(v_cap) >= 0.0:
         return v_cap
     lo, hi = 0.0, v_cap
     while hi - lo > _ORACLE_TOLERANCE_KMH:
         mid = 0.5 * (lo + hi)
-        if surplus(mid) >= 0.0:
+        if net_force(mid) >= 0.0:
             lo = mid
         else:
             hi = mid

@@ -31,6 +31,7 @@ REMOVED = {
     "motor_current",
     "motor_electrical_power",
     "pi_step",
+    "range_test",
     "soc_dynamics_report",
     "split_command",
     "target_speed",

@@ -180,9 +180,9 @@ def test_validate_rejects_invalid_config(tmp_path, capsys):
     assert "mass" in capsys.readouterr().err
 
 
-def _assert_one_line_error(capsys, code, expected):
+def _assert_one_line_error(capsys, code, expected, exit_code=1):
     out, err = capsys.readouterr()
-    assert code == 1
+    assert code == exit_code
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert expected in err
@@ -336,6 +336,22 @@ def test_range_compare_regen_rejects_outputs(tmp_path, small_config_path, capsys
     assert not path.exists()
 
 
+def test_range_compare_regen_without_distance_exits_two(tmp_path, capsys):
+    # A standing vehicle draws nothing, so neither leg reaches its floor or
+    # covers any distance before sim.max_sim_time: no gain is defined.
+    cycle_path = tmp_path / "zero.csv"
+    cycle_path.write_text("t_s,v_kmh\n0,0\n10,0\n")
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text('{"sim": {"max_sim_time": 100.0}}')
+    code = main(
+        ["range", "--compare-regen", "--cycle", str(cycle_path),
+         "--config", str(config_path)]
+    )
+    _assert_one_line_error(
+        capsys, code, "the regen-off leg covered no distance", exit_code=2
+    )
+
+
 def test_range_rejects_floor_above_initial_soc(small_config_path, capsys):
     code = main(
         ["range", "--config", small_config_path, "--until-soc", "0.95"]
@@ -486,7 +502,7 @@ def test_tracking_plot_has_both_curves(config, udds, tmp_path):
     assert text.count("<polyline") == 2
 
 
-# Every command that writes a file or runs the regen comparison's pool.
+# Every command that writes a file or runs the two-lane regen comparison.
 _NO_NUMPY_RUN = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError

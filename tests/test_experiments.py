@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from array import array
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ import pytest
 from step_reference import euler_accel_time, soc_dynamics_report
 
 from bevsim import (
+    DegenerateVoltageError,
+    DriveCycle,
     UnreachableTargetError,
     accel_test,
     accel_time_oracle,
     design_speed_for_power,
-    range_test,
     regen_comparison,
     run,
     size_motor,
@@ -31,9 +33,16 @@ from bevsim.experiments import (
     AccelReport,
     _crossing_time,
     _full_throttle_cycle,
+    _regen_lanes,
     range_test_detailed,
 )
-from bevsim.params import RPM_KW_CONSTANT, default_config, validate, with_overrides
+from bevsim.params import (
+    RPM_KW_CONSTANT,
+    default_config,
+    motor_rpm_per_kmh,
+    validate,
+    with_overrides,
+)
 
 
 def test_top_speed_oracle_default(config):
@@ -117,6 +126,23 @@ def test_top_speed_oracle_agreement_over_random_configs():
         assert abs(report.discrepancy_kmh) <= 2.0, cfg
 
 
+def test_top_speed_oracle_sees_the_torque_cap():
+    # The ninth rng-42 config has its torque/power corner far above its
+    # top speed, so it is torque-limited there; a power-only balance put
+    # the oracle at 222.75 km/h against the engine's 201.00.
+    rng = random.Random(42)
+    cfg = [_random_config(rng) for _ in range(9)][-1]
+    rpm_per = motor_rpm_per_kmh(cfg.body.wheel_radius, cfg.drivetrain.gear_ratio)
+    corner = RPM_KW_CONSTANT * cfg.motor.max_power / cfg.motor.max_torque / rpm_per
+    assert corner > 260.0
+    report = top_speed_test(cfg, 400.0)
+    assert report.vmax_kmh == pytest.approx(201.0, abs=0.1)
+    assert abs(report.discrepancy_kmh) <= 2.0
+    # A target above the real top speed is refused before any run.
+    with pytest.raises(UnreachableTargetError, match="force-balance top speed"):
+        accel_test(cfg, 210.0)
+
+
 def _time_or_unreachable(fn, cfg, target):
     try:
         return fn(cfg, target)
@@ -126,9 +152,8 @@ def _time_or_unreachable(fn, cfg, target):
 
 def test_accel_time_oracle_agrees_with_euler_reference_over_random_configs():
     # Quadrature over speed against fine-step time integration, from
-    # 50 km/h up to 1 km/h below the force-balance top speed. That top
-    # speed ignores the torque cap, so a torque-limited config may not
-    # reach it: then both methods must call the target unreachable.
+    # 50 km/h up to 1 km/h below the force-balance top speed; a target
+    # whose time passes the cap must be unreachable to both methods.
     rng = random.Random(42)
     reached = 0
     for _ in range(10):
@@ -359,7 +384,8 @@ def test_design_speed_for_published_rating(config):
 
 
 def _range_floor(cfg, floor):
-    return range_test(cfg, synth_trapezoid(50.0, 10.0, 10.0), soc_floor=floor)
+    trapezoid = synth_trapezoid(50.0, 10.0, 10.0)
+    return range_test_detailed(cfg, trapezoid, soc_floor=floor)[0]
 
 
 _SCALAR_ENTRY_POINTS = (
@@ -390,8 +416,8 @@ def test_scalar_entry_points_reject_bad_values_up_front(config, call, bad):
 
 
 def test_range_regen_on_beats_regen_off(small_battery_config, udds):
-    on = range_test(small_battery_config, udds, regen_enabled=True)
-    off = range_test(small_battery_config, udds, regen_enabled=False)
+    on = range_test_detailed(small_battery_config, udds, regen_enabled=True)[0]
+    off = range_test_detailed(small_battery_config, udds, regen_enabled=False)[0]
     assert on.distance_km > off.distance_km
     assert off.energy_regen_kwh == 0.0
     assert on.energy_regen_kwh > 0.0
@@ -403,7 +429,7 @@ def test_range_terminates_near_floor(small_battery_config, udds):
     nearly_empty = with_overrides(
         small_battery_config, battery={"initial_soc": 0.101}
     )
-    report = range_test(nearly_empty, udds)
+    report = range_test_detailed(nearly_empty, udds)[0]
     assert report.distance_km >= 0.0
     assert report.soc_end <= 0.1 + 1e-12
 
@@ -411,14 +437,14 @@ def test_range_terminates_near_floor(small_battery_config, udds):
 def test_range_rejects_initial_soc_at_floor(small_battery_config, udds):
     bad = with_overrides(small_battery_config, battery={"initial_soc": 0.2})
     with pytest.raises(ValueError):
-        range_test(bad, udds, soc_floor=0.2)
+        range_test_detailed(bad, udds, soc_floor=0.2)
 
 
 def test_range_monotone_in_capacity(small_battery_config, udds):
     distances = []
     for kwh in (3.0, 4.0, 5.0):
         cfg = with_overrides(small_battery_config, battery={"capacity_energy": kwh})
-        distances.append(range_test(cfg, udds).distance_km)
+        distances.append(range_test_detailed(cfg, udds)[0].distance_km)
     assert distances[0] <= distances[1] <= distances[2]
     assert distances[2] > distances[0]
 
@@ -429,7 +455,7 @@ def test_range_monotone_in_regen_efficiency(small_battery_config, udds):
         cfg = with_overrides(
             small_battery_config, drivetrain={"regen_efficiency": eff}
         )
-        distances.append(range_test(cfg, udds).distance_km)
+        distances.append(range_test_detailed(cfg, udds)[0].distance_km)
     assert distances[0] <= distances[1] <= distances[2]
     assert distances[2] > distances[0]
 
@@ -438,7 +464,7 @@ def test_range_strictly_decreasing_in_mass(small_battery_config, udds):
     distances = []
     for mass in (1200.0, 1549.0, 1900.0):
         cfg = with_overrides(small_battery_config, body={"mass": mass})
-        distances.append(range_test(cfg, udds).distance_km)
+        distances.append(range_test_detailed(cfg, udds)[0].distance_km)
     assert distances[0] > distances[1] > distances[2]
 
 
@@ -454,6 +480,101 @@ def test_regen_comparison_gain_grows_with_efficiency(small_battery_config, udds)
     full = regen_comparison(cfg, udds)
     assert full.gain_fraction > half.gain_fraction > 0.0
     assert half.reference_gain_percents == (23.0, 25.0, 25.5)
+
+
+def _bits(report):
+    return [x.hex() if isinstance(x, float) else x for x in astuple(report)]
+
+
+def _assert_lanes_match_serial_legs(cfg, cycle, floor=None):
+    """The two-lane pass gives each serial leg's report and ledger, bit for
+    bit; returns the two reports."""
+    lanes = _regen_lanes(cfg, cycle, floor)
+    for regen, (report, ledger) in zip((True, False), lanes):
+        want, _, _, want_ledger = range_test_detailed(cfg, cycle, regen, floor)
+        assert _bits(report) == _bits(want), (cfg, regen)
+        assert _bits(ledger) == _bits(want_ledger), (cfg, regen)
+    return lanes[0][0], lanes[1][0]
+
+
+def test_regen_lanes_match_serial_legs_over_random_configs(udds):
+    rng = random.Random(42)
+    for _ in range(10):
+        cfg = with_overrides(_random_config(rng), battery={"capacity_energy": 3.0})
+        on, off = _assert_lanes_match_serial_legs(cfg, udds)
+        assert on.distance_km > off.distance_km
+
+
+def test_regen_lanes_stop_on_one_step_without_recovery(small_battery_config, udds):
+    cfg = with_overrides(small_battery_config, drivetrain={"regen_efficiency": 0.0})
+    on, off = _assert_lanes_match_serial_legs(cfg, udds)
+    assert _bits(on)[:-1] == _bits(off)[:-1]
+    assert regen_comparison(cfg, udds).gain_fraction == 0.0
+
+
+def test_regen_lanes_with_a_floor_inside_the_first_cycle(small_battery_config, udds):
+    on, off = _assert_lanes_match_serial_legs(small_battery_config, udds, 0.89)
+    assert on.cycles_completed == off.cycles_completed == 0
+    assert on.distance_km > off.distance_km
+    # A floor the regen-off leg's soc lands on exactly stops it on that step.
+    exact = off.soc_end
+    _, off = _assert_lanes_match_serial_legs(small_battery_config, udds, exact)
+    assert off.soc_end == exact
+
+
+def test_regen_lanes_cut_by_max_sim_time(small_battery_config, udds):
+    cfg = with_overrides(small_battery_config, sim={"max_sim_time": 1000.0})
+    on, off = _assert_lanes_match_serial_legs(cfg, udds)
+    assert on.soc_end > off.soc_end > cfg.battery.soc_floor
+    assert on.distance_km == off.distance_km
+
+
+# Cruise at 50 km/h, a dip to 35, then a step up to 130: the first
+# full-throttle step follows a regen step, which left the regen-on lane's
+# terminal voltage above the regen-off lane's. With a large internal
+# resistance the voltage collapses, in whichever leg and at whichever step
+# each resistance gives.
+_DIP = DriveCycle(
+    "dip", (0.0, 150.0, 180.0, 184.0, 184.1, 210.0),
+    (0.0, 50.0, 50.0, 35.0, 130.0, 130.0),
+)
+
+
+@pytest.mark.parametrize(
+    "resistance, collapse_times",
+    [
+        pytest.param(0.5, ("187.8", "187.8"), id="both-at-one-step"),
+        pytest.param(1.16, ("184.5", None), id="on-only-off-stops-at-floor"),
+        pytest.param(1.17, ("184.5", "184.4"), id="off-first-then-on"),
+        pytest.param(1.58, (None, "184.3"), id="off-only"),
+    ],
+)
+def test_regen_lanes_raise_the_serial_legs_voltage_collapse(resistance, collapse_times):
+    cfg = with_overrides(
+        default_config(),
+        battery={"internal_resistance": resistance, "capacity_energy": 0.5},
+        sim={"max_sim_time": 210.0},
+    )
+    errors = []
+    for regen in (True, False):
+        try:
+            range_test_detailed(cfg, _DIP, regen)
+        except DegenerateVoltageError as exc:
+            errors.append(str(exc))
+        else:
+            errors.append(None)
+    assert tuple(e and e.split("t = ")[1][:-2] for e in errors) == collapse_times
+    # The serial comparison runs the regen-on leg first, then the other.
+    with pytest.raises(DegenerateVoltageError) as exc:
+        _regen_lanes(cfg, _DIP)
+    assert str(exc.value) == (errors[0] or errors[1])
+
+
+def test_regen_comparison_ignores_parallel(small_battery_config, udds):
+    cfg = with_overrides(small_battery_config, battery={"soc_floor": 0.7})
+    assert regen_comparison(cfg, udds, parallel=True) == regen_comparison(
+        cfg, udds, parallel=False
+    )
 
 
 def test_soc_dynamics_regen_off_has_no_increases(config, udds):
