@@ -327,7 +327,7 @@ def cmd_range(args) -> int:
             if value:
                 raise ConfigError(f"--compare-regen conflicts with {flag}")
         comparison = experiments.regen_comparison(
-            config, cycle, soc_floor=args.until_soc, parallel=True
+            config, cycle, soc_floor=args.until_soc
         )
         _print_json(
             {

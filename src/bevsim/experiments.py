@@ -10,8 +10,10 @@ the engine's fixed-step time integration.
 The regen comparison runs both depletion legs as one kernel pass in this
 process, a regen-off battery lane beside the regen-on one, since both
 follow one trajectory. It accepts and ignores ``parallel``, which
-``perfbench/workloads.py`` passes; ``perfbench/tracer.py`` swaps the
-``ProcessPoolExecutor`` name, so it stays bound.
+``perfbench/workloads.py`` passes. ``perfbench/tracer.py`` swaps the
+``ProcessPoolExecutor`` name, so the module still resolves it, but only
+on first access (see ``__getattr__``): importing the package never loads
+``concurrent.futures`` or ``multiprocessing``.
 
 Acceleration and top-speed runs pin the command at 1 instead of using the
 PI driver, so the results reflect the powertrain rather than controller
@@ -32,8 +34,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Callable, Generator, Sequence
-# Bound but unused: perfbench/tracer.py swaps this name (see above).
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -63,8 +63,20 @@ _FULL_THROTTLE_TIME_CAP_S = 600.0
 _FIRST_ACCEL_HORIZON_S = 32.0
 _SIMPSON_INTERVALS = 400  # even; per side of the torque/power corner
 _TOP_SPEED_CHUNK_STEPS = 4096  # a chunk's 15 trace columns hold about 2 MB
+_MAX_DESIGN_SPEED_KMH = 1e5  # the bound of size_motor and its inverse
 # Plots draw at most this many points of a trajectory, thinned by a stride.
 _MAX_PLOT_POINTS = 4000
+
+
+def __getattr__(name: str):
+    # Only perfbench/tracer.py reads this name, to swap it; importing it
+    # eagerly loaded multiprocessing into every process. This goes when
+    # ROADMAP item 1 drops the tracer's swap.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -240,7 +252,7 @@ def regen_comparison(
     and both legs follow one trajectory: they run as one pass in this
     process, a regen-off battery lane beside the regen-on one, and each
     report equals ``range_test_detailed``'s bit for bit. ``parallel`` is
-    accepted and ignored; ``perfbench/workloads.py`` still passes it.
+    accepted and ignored; only ``perfbench/workloads.py`` still passes it.
 
     Raises:
         ValueError: If the regen-off leg covers no distance, which leaves
@@ -486,6 +498,11 @@ def size_motor(config: VehicleConfig, design_speed_kmh: float) -> float:
     _require_finite("design speed", design_speed_kmh)
     if design_speed_kmh <= 0.0:
         raise ValueError(f"design speed must be > 0 (got {design_speed_kmh})")
+    if design_speed_kmh > _MAX_DESIGN_SPEED_KMH:
+        raise ValueError(
+            f"design speed must be <= {_MAX_DESIGN_SPEED_KMH:g} km/h "
+            f"(got {design_speed_kmh:g})"
+        )
     b = config.body
     return design_speed_kmh * (
         rolling_resistance(b, design_speed_kmh) + aero_drag(b, design_speed_kmh)
@@ -500,8 +517,10 @@ def design_speed_for_power(config: VehicleConfig, power_kw: float) -> float:
     hi = 10.0
     while size_motor(config, hi) < power_kw:
         hi *= 2.0
-        if hi > 1e5:
-            raise ValueError(f"no speed below 1e5 km/h needs {power_kw} kW")
+        if hi > _MAX_DESIGN_SPEED_KMH:
+            raise ValueError(
+                f"no speed below {_MAX_DESIGN_SPEED_KMH:g} km/h needs {power_kw} kW"
+            )
     lo = 0.0
     while hi - lo > _ORACLE_TOLERANCE_KMH:
         mid = 0.5 * (lo + hi)

@@ -5,6 +5,8 @@ oracle (``step_reference``)."""
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import bevsim
@@ -70,4 +72,39 @@ def test_tracer_layers_still_import():
     assert len(tracer.LAYERS) == 9
     for layer in tracer.LAYERS:
         importlib.import_module(f"bevsim.{layer}")
-    assert hasattr(bevsim.experiments, "ProcessPoolExecutor")
+    pool = bevsim.experiments.ProcessPoolExecutor
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert bevsim.experiments.ProcessPoolExecutor is not pool
+    finally:
+        t.uninstall()
+    assert bevsim.experiments.ProcessPoolExecutor is pool
+
+
+# Importing the package or its CLI loads no process-pool machinery; the
+# experiments module still resolves the pool name on first access.
+_IMPORT_BUDGET = """
+import sys
+import bevsim
+pooled = {"multiprocessing", "concurrent.futures"}
+assert pooled.isdisjoint(sys.modules), "bevsim"
+import bevsim.cli
+assert pooled.isdisjoint(sys.modules), "bevsim.cli"
+import concurrent.futures
+assert bevsim.experiments.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+try:
+    bevsim.experiments.NoSuchName
+except AttributeError as exc:
+    assert "NoSuchName" in str(exc), exc
+else:
+    raise AssertionError("unknown attribute resolved")
+"""
+
+
+def test_import_loads_no_process_pool(package_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BUDGET],
+        env=package_env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -413,6 +413,20 @@ def test_size_motor_command(capsys):
     assert payload["design_speed_kmh"] == 120.0
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--speed", "1e100"], "design speed must be <= 100000 km/h"),
+        (["--power", "1e308"], "no speed below 100000 km/h"),
+    ],
+    ids=["speed", "power"],
+)
+def test_size_motor_beyond_the_speed_bound_exits_two(capsys, argv, expected):
+    # Finite, but far past any road speed, where the road loads overflow.
+    code = main(["size-motor"] + argv)
+    _assert_one_line_error(capsys, code, expected, exit_code=2)
+
+
 def test_dt_override(short_cycle_path, capsys):
     code = main(["simulate", "--cycle", short_cycle_path, "--dt", "0.05"])
     assert code == 0

@@ -374,6 +374,13 @@ def test_size_motor_values(config):
     assert size_motor(config, 100.0) == pytest.approx(19.18, abs=0.005)
     with pytest.raises(ValueError):
         size_motor(config, 0.0)
+    # The bound design_speed_for_power searches below; far past it the
+    # rolling resistance's v**4 term overflows.
+    assert math.isfinite(size_motor(config, 1e5))
+    with pytest.raises(ValueError, match="design speed must be <= 100000 km/h"):
+        size_motor(config, math.nextafter(1e5, math.inf))
+    with pytest.raises(ValueError, match="design speed"):
+        size_motor(config, 1e100)
 
 
 def test_design_speed_for_published_rating(config):
