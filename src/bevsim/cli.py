@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 from . import experiments
 from .cycle import DriveCycle, cycle_stats, load_udds, parse_cycle, repeat
@@ -245,13 +244,13 @@ def _print_json(payload: dict) -> None:
 
 
 def _summary_dict(summary: SimSummary) -> dict:
-    d = asdict(summary)
+    d = summary._asdict()
     d["stop_reason"] = summary.stop_reason.value
     return d
 
 
 def _ledger_dict(ledger: EnergyLedger) -> dict:
-    d = asdict(ledger)
+    d = ledger._asdict()
     d["residual"] = ledger.residual
     check = ledger_check(ledger)
     d["check_passed"] = check.passed
@@ -311,10 +310,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _range_report_dict(report: experiments.RangeReport) -> dict:
-    return asdict(report)
-
-
 def cmd_range(args) -> int:
     config = _load_config(args)
     cycle = _load_cycle(args)
@@ -335,8 +330,8 @@ def cmd_range(args) -> int:
                 "command": "range",
                 "cycle": cycle.name,
                 "reports": {
-                    "regen_on": _range_report_dict(comparison.regen_on),
-                    "regen_off": _range_report_dict(comparison.regen_off),
+                    "regen_on": comparison.regen_on._asdict(),
+                    "regen_off": comparison.regen_off._asdict(),
                 },
                 "gain_percent": comparison.gain_percent,
                 "reference_gain_percents": list(comparison.reference_gain_percents),
@@ -360,7 +355,7 @@ def cmd_range(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "range",
             "cycle": cycle.name,
-            "report": _range_report_dict(report),
+            "report": report._asdict(),
             "ledger": _ledger_dict(ledger),
         }
     )

@@ -8,17 +8,47 @@ piecewise linearly, holding the last speed past the last sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from .errors import CycleError
 
 CSV_HEADER = "t_s,v_kmh"
 
 
-@dataclass(frozen=True)
-class DriveCycle:
-    """A time-indexed target-speed schedule.
+class _Frozen:
+    """Base of the immutable ``__slots__`` records that are not tuples
+    because their ``len()`` counts rows or samples, not fields: set once in
+    ``__init__``, then compared, hashed, pickled and shown by value."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class DriveCycle(_Frozen):
+    """A time-indexed target-speed schedule; its length is its sample count.
 
     Args:
         name: Label used in reports and plots.
@@ -29,14 +59,12 @@ class DriveCycle:
     floats.
     """
 
-    name: str
-    times_s: tuple[float, ...]
-    speeds_kmh: tuple[float, ...]
+    __slots__ = ("name", "times_s", "speeds_kmh")
 
-    def __post_init__(self):
+    def __init__(self, name: str, times_s, speeds_kmh) -> None:
         try:
-            t = tuple(map(float, self.times_s))
-            v = tuple(map(float, self.speeds_kmh))
+            t = tuple(map(float, times_s))
+            v = tuple(map(float, speeds_kmh))
         except (TypeError, ValueError):
             t = v = None
         if t is None or len(t) != len(v):
@@ -51,6 +79,7 @@ class DriveCycle:
             raise CycleError("sample times must be strictly increasing")
         if min(v) < 0.0:
             raise CycleError("speeds must be non-negative")
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "times_s", t)
         object.__setattr__(self, "speeds_kmh", v)
 
@@ -62,8 +91,7 @@ class DriveCycle:
         return len(self.times_s)
 
 
-@dataclass(frozen=True)
-class CycleStats:
+class CycleStats(NamedTuple):
     """Aggregate quantities of a cycle.
 
     Args:
@@ -195,5 +223,8 @@ def load_udds() -> DriveCycle:
     file is a transcription of the public-domain EPA schedule; its SHA-256
     checksum is recorded in the README.
     """
+    # Imported here: from Python 3.12 on, importlib.resources loads inspect.
+    from importlib import resources
+
     text = resources.files("bevsim.data").joinpath("udds.csv").read_text()
     return parse_cycle(text, name="udds")

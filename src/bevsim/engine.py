@@ -76,10 +76,9 @@ import math
 from array import array
 from bisect import bisect_right
 from collections.abc import Generator
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cycle import DriveCycle
+from .cycle import DriveCycle, _Frozen
 from .errors import ConfigError, DegenerateVoltageError, EnvelopeError
 from .params import RPM_KW_CONSTANT, VehicleConfig, motor_rpm_per_kmh, validate
 
@@ -130,26 +129,17 @@ class TraceRecord(NamedTuple):
 TRACE_FIELDS = TraceRecord._fields
 
 
-@dataclass(frozen=True)
-class SimTrace:
-    """Column-major per-step records of a run, one ``array('d')`` per field
-    (buffer-protocol consumers view a column without a copy)."""
+class SimTrace(_Frozen):
+    """Column-major per-step records of a run, one ``array('d')`` per
+    TRACE_FIELDS column (buffer-protocol consumers view a column without a
+    copy); its length is the row count."""
 
-    t_s: array
-    v_target_kmh: array
-    v_kmh: array
-    dist_km: array
-    cmd: array
-    motor_nm: array
-    motor_rpm: array
-    fric_n: array
-    batt_kw: array
-    current_a: array
-    volt_v: array
-    soc: array
-    rr_n: array
-    wr_n: array
-    accel_ms2: array
+    __slots__ = TRACE_FIELDS
+
+    def __init__(self, *columns: array, **named: array) -> None:
+        # TraceRecord binds the arguments: the same names in the same order.
+        for name, column in zip(TRACE_FIELDS, TraceRecord(*columns, **named)):
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.t_s)
@@ -158,8 +148,7 @@ class SimTrace:
         return TraceRecord(*(getattr(self, f)[i] for f in TRACE_FIELDS))
 
 
-@dataclass(frozen=True)
-class EnergyLedger:
+class EnergyLedger(NamedTuple):
     """Energy-conservation accounting for a run, all in kWh.
 
     ``battery_out`` and ``battery_regen_in`` are measured at the ideal
@@ -192,15 +181,13 @@ class EnergyLedger:
         )
 
 
-@dataclass(frozen=True)
-class LedgerCheck:
+class LedgerCheck(NamedTuple):
     passed: bool
     residual_kwh: float
     residual_fraction: float
 
 
-@dataclass(frozen=True)
-class SimSummary:
+class SimSummary(NamedTuple):
     """Aggregate results of one run."""
 
     duration_s: float
@@ -286,17 +273,28 @@ def step(
     return end, last
 
 
-def _steps_for(duration_s: float, dt: float) -> int:
-    """Step count covering a duration; exact when dt divides it."""
+def _whole_steps(duration_s: float, dt: float) -> int | None:
+    """Step count of a duration when dt divides it (to 1e-6 of a step),
+    else None."""
     q = duration_s / dt
     r = round(q)
-    if abs(q - r) < 1e-6:
-        return int(r)
-    return int(math.ceil(q))
+    return int(r) if abs(q - r) < 1e-6 else None
+
+
+def _steps_for(duration_s: float, dt: float) -> int:
+    """Step count covering a duration; exact when dt divides it."""
+    steps = _whole_steps(duration_s, dt)
+    return int(math.ceil(duration_s / dt)) if steps is None else steps
 
 
 def _cycles_completed(t: float, dt: float, duration: float) -> int:
-    """Whole passes of a cycle of ``duration`` seconds completed by time t."""
+    """Whole passes of a cycle of ``duration`` seconds completed by a run
+    from t = 0 that ended at time t. When dt divides the duration, passes
+    are counted in steps, ``round(t / dt)``: t adds dt once per step and
+    drifts, which over many passes can lose one."""
+    pass_steps = _whole_steps(duration, dt)
+    if pass_steps:
+        return round(t / dt) // pass_steps
     return int((t + dt * 1e-6) / duration) if duration > 0.0 else 0
 
 

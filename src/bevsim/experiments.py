@@ -34,8 +34,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Callable, Generator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .cycle import DriveCycle
 from .dynamics import aero_drag, rolling_resistance
@@ -79,8 +79,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class RangeReport:
+class RangeReport(NamedTuple):
     """Outcome of a repeated-cycle depletion run."""
 
     distance_km: float
@@ -92,8 +91,7 @@ class RangeReport:
     regen_enabled: bool
 
 
-@dataclass(frozen=True)
-class RegenComparisonReport:
+class RegenComparisonReport(NamedTuple):
     """Regen-on vs regen-off depletion runs and the resulting range gain."""
 
     regen_on: RangeReport
@@ -106,8 +104,7 @@ class RegenComparisonReport:
         return 100.0 * self.gain_fraction
 
 
-@dataclass(frozen=True)
-class AccelReport:
+class AccelReport(NamedTuple):
     """Full-throttle time to a target speed."""
 
     time_to_target_s: float
@@ -115,8 +112,7 @@ class AccelReport:
     speed_trajectory: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class TopSpeedReport:
+class TopSpeedReport(NamedTuple):
     """Full-throttle settled top speed against the force-balance oracle;
     the trajectory is thinned as the plots thin it (see top_speed_test)."""
 

@@ -3,15 +3,16 @@
 Single source of truth for units. Every numeric field carries exactly one
 unit, stated in its docstring and mirrored by the JSON config schema (top
 level keys ``body``, ``motor``, ``battery``, ``drivetrain``, ``driver``,
-``sim``; field names exactly as below). Configs are immutable after
-validation and safe to share across concurrent simulation runs.
+``sim``; field names exactly as below). Configs and their sections are
+``NamedTuple``s: immutable, edited with ``with_overrides`` (or
+``_replace``), and safe to share across concurrent simulation runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -19,8 +20,7 @@ from .errors import ConfigError
 RPM_KW_CONSTANT = 9550.0
 
 
-@dataclass(frozen=True)
-class VehicleBodyParams:
+class VehicleBodyParams(NamedTuple):
     """Chassis mass and road-load parameters.
 
     Args:
@@ -44,8 +44,7 @@ class VehicleBodyParams:
     gravity: float = 9.81
 
 
-@dataclass(frozen=True)
-class MotorParams:
+class MotorParams(NamedTuple):
     """Traction motor ratings.
 
     Args:
@@ -71,8 +70,7 @@ class MotorParams:
     efficiency: float = 0.95
 
 
-@dataclass(frozen=True)
-class BatteryParams:
+class BatteryParams(NamedTuple):
     """Traction battery pack parameters.
 
     Nominal voltage and internal resistance are representative pack values,
@@ -95,8 +93,7 @@ class BatteryParams:
     soc_floor: float = 0.1
 
 
-@dataclass(frozen=True)
-class DrivetrainParams:
+class DrivetrainParams(NamedTuple):
     """Transmission and brake-system parameters.
 
     The friction cap applies to the friction system only; regenerative and
@@ -123,8 +120,7 @@ class DrivetrainParams:
     regen_cutoff_speed: float = 1.5
 
 
-@dataclass(frozen=True)
-class DriverParams:
+class DriverParams(NamedTuple):
     """Speed-tracking PI controller gains.
 
     Args:
@@ -140,8 +136,7 @@ class DriverParams:
     command_max: float = 1.0
 
 
-@dataclass(frozen=True)
-class SimParams:
+class SimParams(NamedTuple):
     """Fixed-step solver settings.
 
     Args:
@@ -154,16 +149,16 @@ class SimParams:
     max_sim_time: float = 500_000.0
 
 
-@dataclass(frozen=True)
-class VehicleConfig:
-    """Complete, immutable parameter set for one simulation."""
+class VehicleConfig(NamedTuple):
+    """Complete, immutable parameter set for one simulation; its sections
+    default to shared instances of their defaults."""
 
-    body: VehicleBodyParams = field(default_factory=VehicleBodyParams)
-    motor: MotorParams = field(default_factory=MotorParams)
-    battery: BatteryParams = field(default_factory=BatteryParams)
-    drivetrain: DrivetrainParams = field(default_factory=DrivetrainParams)
-    driver: DriverParams = field(default_factory=DriverParams)
-    sim: SimParams = field(default_factory=SimParams)
+    body: VehicleBodyParams = VehicleBodyParams()
+    motor: MotorParams = MotorParams()
+    battery: BatteryParams = BatteryParams()
+    drivetrain: DrivetrainParams = DrivetrainParams()
+    driver: DriverParams = DriverParams()
+    sim: SimParams = SimParams()
 
 
 _SECTIONS = {
@@ -207,8 +202,7 @@ def parse_config(text: str) -> VehicleConfig:
         raw = doc.get(name, {})
         if not isinstance(raw, dict):
             raise ConfigError(f"section '{name}' must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        bad = sorted(set(raw) - known)
+        bad = sorted(set(raw) - set(cls._fields))
         if bad:
             raise ConfigError(
                 f"unknown key(s) in section '{name}': {', '.join(bad)}"
@@ -229,7 +223,8 @@ def parse_config(text: str) -> VehicleConfig:
 
 def serialize_config(config: VehicleConfig) -> str:
     """Serialize a config to JSON text; parse_config round-trips it."""
-    return json.dumps(asdict(config), indent=2) + "\n"
+    doc = {name: section._asdict() for name, section in zip(config._fields, config)}
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def validate(config: VehicleConfig) -> list[str]:
@@ -237,10 +232,9 @@ def validate(config: VehicleConfig) -> list[str]:
     v: list[str] = []
     for section in _SECTIONS:
         params = getattr(config, section)
-        for f in fields(params):
-            value = getattr(params, f.name)
+        for name, value in zip(params._fields, params):
             if not math.isfinite(value):
-                v.append(f"{section}.{f.name}: must be finite (got {value})")
+                v.append(f"{section}.{name}: must be finite (got {value})")
     b = config.body
     _positive(v, "body.mass", b.mass)
     _positive(v, "body.wheel_radius", b.wheel_radius)
@@ -351,10 +345,19 @@ def with_overrides(config: VehicleConfig, **section_updates) -> VehicleConfig:
     """Return a copy with per-section field updates.
 
     Example: with_overrides(cfg, sim={"dt": 0.01}, drivetrain={"regen_efficiency": 0}).
+
+    Raises:
+        ConfigError: On an unknown section or field.
     """
     replacements = {}
     for section, updates in section_updates.items():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section '{section}'")
-        replacements[section] = replace(getattr(config, section), **updates)
-    return replace(config, **replacements)
+        params = getattr(config, section)
+        bad = sorted(set(updates) - set(params._fields))
+        if bad:
+            raise ConfigError(
+                "unknown field(s) " + ", ".join(f"'{section}.{key}'" for key in bad)
+            )
+        replacements[section] = params._replace(**updates)
+    return config._replace(**replacements)

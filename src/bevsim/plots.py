@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import SimTrace
 from .errors import PlotError
@@ -28,16 +28,14 @@ _MARGIN_T = 46
 _MARGIN_B = 52
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     label: str
     x: Sequence[float]
     y: Sequence[float]
     color: str
 
 
-@dataclass(frozen=True)
-class Panel:
+class Panel(NamedTuple):
     title: str
     xlabel: str
     ylabel: str

@@ -41,6 +41,7 @@ from bevsim.engine import (
     SimTrace,
     StopReason,
     TraceRecord,
+    _whole_steps,
     initial_state,
 )
 from bevsim.errors import (
@@ -653,6 +654,13 @@ def reference_run(
 
     t = state.t_s
     cycle_max = max(cycle.speeds_kmh)
+    # Whole passes: by step count when dt divides the duration (t drifts
+    # from n * dt over many passes), else by time.
+    pass_steps = _whole_steps(cycle.duration_s, dt)
+    if pass_steps:
+        cycles = n // pass_steps
+    else:
+        cycles = int((t + dt * 1e-6) / cycle.duration_s)
     summary = SimSummary(
         duration_s=t,
         distance_km=state.distance_km,
@@ -664,7 +672,7 @@ def reference_run(
         ),
         energy_out_kwh=state.cumulative_energy_out,
         energy_regen_kwh=state.cumulative_energy_regen,
-        cycles_completed=int((t + dt * 1e-6) / cycle.duration_s),
+        cycles_completed=cycles,
         stop_reason=StopReason.MAX_TIME,
     )
     ledger_j = (e_out, e_regen, e_kin, e_roll, e_aero, e_fric, e_drive, e_resist)

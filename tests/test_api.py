@@ -82,15 +82,18 @@ def test_tracer_layers_still_import():
     assert bevsim.experiments.ProcessPoolExecutor is pool
 
 
-# Importing the package or its CLI loads no process-pool machinery; the
+# Importing the package, its CLI or its plots loads no process-pool
+# machinery, nor dataclasses and the inspect module it pulls in; the
 # experiments module still resolves the pool name on first access.
 _IMPORT_BUDGET = """
 import sys
+unwanted = {"multiprocessing", "concurrent.futures", "dataclasses", "inspect"}
 import bevsim
-pooled = {"multiprocessing", "concurrent.futures"}
-assert pooled.isdisjoint(sys.modules), "bevsim"
+assert unwanted.isdisjoint(sys.modules), ("bevsim", unwanted & set(sys.modules))
 import bevsim.cli
-assert pooled.isdisjoint(sys.modules), "bevsim.cli"
+assert unwanted.isdisjoint(sys.modules), ("bevsim.cli", unwanted & set(sys.modules))
+import bevsim.plots
+assert unwanted.isdisjoint(sys.modules), ("bevsim.plots", unwanted & set(sys.modules))
 import concurrent.futures
 assert bevsim.experiments.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
 try:
@@ -103,8 +106,10 @@ else:
 
 
 def test_import_loads_no_process_pool(package_env):
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_BUDGET],
-        env=package_env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
+    # Without site (-S), nothing but the package can have loaded a module.
+    for flags in ([], ["-S"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _IMPORT_BUDGET],
+            env=package_env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, (flags, proc.stderr)

@@ -443,6 +443,15 @@ def test_simulate_repeat_flag(short_cycle_path, capsys):
     assert main(["simulate", "--cycle", short_cycle_path, "--repeat", "0"]) == 1
 
 
+def test_simulate_repeat_counts_every_pass(capsys):
+    # The clock drifts below 20 * 1369 s; the count goes by steps.
+    for n in ("3", "20"):
+        assert main(["simulate", "--repeat", n]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["cycles_completed"] == 1
+        assert summary["stop_reason"] == "cycle_end"
+
+
 def test_simulate_repeat_past_max_sim_time_exits_one(
     tmp_path, short_cycle_path, capsys, monkeypatch
 ):

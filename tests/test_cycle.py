@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -81,6 +82,23 @@ def test_bundled_udds_aggregates(udds):
 def test_cycle_arrays_are_immutable(udds):
     with pytest.raises(TypeError):
         udds.speeds_kmh[0] = 1.0
+
+
+def test_cycle_is_a_frozen_value(udds):
+    # Not a tuple: its length counts samples. Fields cannot be rebound, and
+    # equal names and knots make equal, equally hashed cycles.
+    with pytest.raises(AttributeError):
+        udds.name = "other"
+    with pytest.raises(AttributeError):
+        del udds.times_s
+    same = DriveCycle(udds.name, list(udds.times_s), np.array(udds.speeds_kmh))
+    assert same == udds and hash(same) == hash(udds)
+    assert same != DriveCycle("other", udds.times_s, udds.speeds_kmh)
+    assert same != tuple(udds.times_s)
+    assert pickle.loads(pickle.dumps(udds)) == udds
+    assert repr(DriveCycle("x", [0, 1], [0, 2])) == (
+        "DriveCycle(name='x', times_s=(0.0, 1.0), speeds_kmh=(0.0, 2.0))"
+    )
 
 
 def test_target_speed_midpoint():

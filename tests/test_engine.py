@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import threading
@@ -23,7 +22,7 @@ from bevsim import (
     synth_trapezoid,
 )
 from bevsim import engine
-from bevsim.engine import TRACE_FIELDS
+from bevsim.engine import TRACE_FIELDS, SimTrace
 from bevsim.params import with_overrides
 
 NAN = math.nan
@@ -71,14 +70,10 @@ def test_sub_threshold_command_does_not_creep(config):
 
 def _bits(obj, name="") -> dict:
     """Every leaf of a SimState or TraceRecord by name, floats as hex."""
-    if isinstance(obj, tuple):
-        items = obj._asdict().items()
-    elif dataclasses.is_dataclass(obj):
-        items = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
-    else:
+    if not isinstance(obj, tuple):
         return {name: obj.hex() if isinstance(obj, float) else obj}
     out = {}
-    for key, value in items:
+    for key, value in obj._asdict().items():
         out.update(_bits(value, f"{name}.{key}" if name else key))
     return out
 
@@ -248,7 +243,7 @@ _LAUNCH = DriveCycle("launch", np.array([0.0, 20.0, 40.0]), np.array([0.0, 80.0,
 
 
 def _with_mass(config, mass):
-    return dataclasses.replace(config, body=dataclasses.replace(config.body, mass=mass))
+    return config._replace(body=config.body._replace(mass=mass))
 
 
 def _session(config, n):
@@ -622,8 +617,8 @@ def test_ledger_closes_on_udds(config, udds):
 
 def test_ledger_detects_a_corrupted_term(config, udds):
     _, _, ledger = run(config, udds)
-    corrupted = dataclasses.replace(
-        ledger, rolling_loss=ledger.rolling_loss + 0.01 * ledger.battery_out
+    corrupted = ledger._replace(
+        rolling_loss=ledger.rolling_loss + 0.01 * ledger.battery_out
     )
     assert not ledger_check(corrupted).passed
 
@@ -718,6 +713,38 @@ def test_repeat_mode_counts_cycles(config, udds):
     assert summary.cycles_completed == 2
     # two full cycles plus 262 s of a third
     assert 2.0 * 11.9 < summary.distance_km < 3.0 * 11.99
+
+
+@pytest.mark.parametrize("n", [5, 20, 30, 83])
+def test_repeat_mode_counts_cycles_by_step(config, udds, n):
+    # The kernel's clock adds dt once per step, so it drifts: after 20 UDDS
+    # passes it reads below 20 * 1369 s. Whole passes count in steps.
+    dt = config.sim.dt
+    pass_steps = engine._steps_for(udds.duration_s, dt)
+    t = 0.0
+    for _ in range(n * pass_steps - 1):
+        t = t + dt
+    assert engine._cycles_completed(t, dt, udds.duration_s) == n - 1
+    t = t + dt
+    assert engine._cycles_completed(t, dt, udds.duration_s) == n
+    if n == 20:
+        assert t < n * udds.duration_s
+        _, summary, _ = run(config, udds, repeat=True, max_time=n * udds.duration_s)
+        assert summary.duration_s == t
+        assert summary.cycles_completed == n
+
+
+def test_trace_is_a_frozen_value(config):
+    trace, _, _ = run(config, synth_trapezoid(50.0, 10.0, 5.0))
+    assert len(trace) == 250
+    with pytest.raises(AttributeError):
+        trace.soc = trace.v_kmh
+    same = SimTrace(**{name: getattr(trace, name) for name in TRACE_FIELDS})
+    assert same == trace
+    assert same != SimTrace(*(getattr(trace, name)[:-1] for name in TRACE_FIELDS))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(trace)
+    assert trace.record(249) == tuple(getattr(trace, f)[249] for f in TRACE_FIELDS)
 
 
 def test_trace_decimation(config, udds):

@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 from array import array
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -490,7 +489,7 @@ def test_regen_comparison_gain_grows_with_efficiency(small_battery_config, udds)
 
 
 def _bits(report):
-    return [x.hex() if isinstance(x, float) else x for x in astuple(report)]
+    return [x.hex() if isinstance(x, float) else x for x in report]
 
 
 def _assert_lanes_match_serial_legs(cfg, cycle, floor=None):

@@ -71,6 +71,29 @@ def test_parse_rejects_unknown_key():
         parse_config('{"body": {"masss": 1500}}')
 
 
+def test_with_overrides_rejects_unknown_names(config):
+    with pytest.raises(ConfigError, match=r"unknown field\(s\) 'body\.mas'$"):
+        with_overrides(config, body={"mas": 1.0})
+    with pytest.raises(ConfigError, match="unknown section 'chassis'"):
+        with_overrides(config, chassis={"mass": 1.0})
+
+
+def test_configs_are_named_tuples(config):
+    # Sections default to shared instances, safe because they are immutable;
+    # records compare equal to plain tuples of their fields.
+    assert default_config().body is config.body
+    assert config.sim == (0.1, 500_000.0)
+    assert tuple(config) == (
+        config.body, config.motor, config.battery, config.drivetrain,
+        config.driver, config.sim,
+    )
+    with pytest.raises(AttributeError):
+        config.body.mass = 1.0
+    heavier = with_overrides(config, body={"mass": 2000.0})
+    assert heavier == config._replace(body=config.body._replace(mass=2000.0))
+    assert heavier.motor is config.motor
+
+
 def test_parse_rejects_non_numeric_values():
     with pytest.raises(ConfigError, match="body.mass"):
         parse_config('{"body": {"mass": "heavy"}}')
