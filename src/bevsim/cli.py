@@ -7,8 +7,6 @@ bad flags), 2 on runtime simulation or I/O errors. Diagnostics go to
 stderr. Identical invocations produce byte-identical outputs.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -51,10 +49,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, CycleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BevSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (BevSimError, OSError, ValueError, ArithmeticError) as exc:
+        # A result that overflows or is not finite is a runtime error too.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -240,7 +236,8 @@ def _load_cycle(args) -> DriveCycle:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    # Refuses NaN and infinities (ValueError): the output stays valid JSON.
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _summary_dict(summary: SimSummary) -> dict:

@@ -5,8 +5,6 @@ and safe to share across concurrent runs. The engine interpolates them
 piecewise linearly, holding the last speed past the last sample.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -7,8 +7,6 @@ outside any run. They take km/h, as the empirical formulas do: the 21.15
 constant absorbs air density and the unit change.
 """
 
-from __future__ import annotations
-
 from .params import VehicleBodyParams
 
 

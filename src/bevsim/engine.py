@@ -34,23 +34,26 @@ controller, the braking split, the road loads, the force balance and
 integration, the motor envelope, the electrical conversion and the battery
 update. ``dynamics`` holds only the road-load formulas that the
 experiments' force-balance oracles evaluate. The kernel is a generator
-whose suspended frame is the carry: it starts from a public ``SimState``,
-yields the end ``SimState`` after each chunk of steps, and keeps what it
-accumulates (ledger sums, tracking-error maximum, cycle cursor, step index)
-between chunks, so a resumed kernel gives the bits of one unsplit call.
-``run`` takes one chunk for a whole run, from ``initial_state(config)``;
-the experiments' acceleration and top-speed scenarios send it chunks at
-full throttle until they have what their reports need.
-``step`` runs one-step chunks with no trace collection: handed back the
-exact state object it last returned, with the same cycle and config
-objects, it resumes that kernel; any other state starts a new one. The
-last session's kernel waits in one module-level slot, taken with
-``list.pop`` so no two threads resume one kernel, and put back only after
-it stepped, so a kernel that raised is dropped. The test suite composes
-the same physics from separate component operations and state types
-(``tests/step_reference.py``) and checks both entry points against it bit
-for bit. Runs are deterministic: identical config, cycle, and options
-produce bit-identical traces.
+whose suspended frame is the carry, and it has one contract. Creating it
+fixes what holds for its life (config, cycle, start ``SimState``, soc
+floor, repeat, trace stride); ``next()`` primes it, validating the config
+and yielding at once with no step run; every chunk of steps then arrives
+by ``send((n, regen_enabled, pinned_command))``, which yields the end
+``SimState``. What it accumulates (ledger sums, tracking-error maximum,
+cycle cursor, step index) stays in the frame between chunks, so a resumed
+kernel gives the bits of one unsplit call. ``run`` sends one chunk for a
+whole run, from ``initial_state(config)``; the experiments' acceleration
+and top-speed scenarios send chunks at full throttle until they have what
+their reports need. ``step`` sends one-step chunks with no trace
+collection: handed back the exact state object it last returned, with the
+same cycle and config objects, it resumes that kernel; any other state
+primes a new one. The last session's kernel waits in one module-level
+slot, taken with ``list.pop`` so no two threads resume one kernel, and put
+back only after it stepped, so a kernel that raised is dropped. The test
+suite composes the same physics from separate component operations and
+state types (``tests/step_reference.py``) and checks both entry points
+against it bit for bit. Runs are deterministic: identical config, cycle,
+and options produce bit-identical traces.
 
 The kernel's loop invariants (config scalars, hoisted products) come from
 ``_invariants``, which keeps the last config's in one module-level
@@ -69,8 +72,6 @@ where the identical subexpression appears again. Never reassociate,
 reorder or fuse a floating-point operation.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from array import array
@@ -79,7 +80,7 @@ from collections.abc import Generator
 from typing import NamedTuple
 
 from .cycle import DriveCycle, _Frozen
-from .errors import ConfigError, DegenerateVoltageError, EnvelopeError
+from .errors import ConfigError, CycleError, DegenerateVoltageError, EnvelopeError
 from .params import RPM_KW_CONSTANT, VehicleConfig, motor_rpm_per_kmh, validate
 
 _J_PER_KWH = 3.6e6
@@ -244,9 +245,7 @@ def step(
         kernel, resumes, resumed_cycle, resumed_config = _resumable.pop()
     except IndexError:
         resumes = None
-    if resumes is state and resumed_cycle is cycle and resumed_config is config:
-        end, _, _, _, last = kernel.send((1, regen_enabled, pinned_command))
-    else:
+    if not (resumes is state and resumed_cycle is cycle and resumed_config is config):
         t, v, dist, integ, soc, vterm, out, regen, _ = state
         dt = config.sim.dt
         if not 0.0 <= t < math.inf:
@@ -264,10 +263,9 @@ def step(
             and math.isfinite(out) and math.isfinite(regen)
         ):
             raise ValueError(f"state floats must be finite (got {state})")
-        kernel = _advance(
-            config, cycle, state, 1, regen_enabled, None, False, pinned_command, 0
-        )
-        end, _, _, _, last = next(kernel)
+        kernel = _advance(config, cycle, state, None, False, 0)
+        next(kernel)
+    end, _, _, _, last = kernel.send((1, regen_enabled, pinned_command))
     # Put back only after the kernel stepped: one that raised is dropped.
     _resumable[:] = ((kernel, end, cycle, config),)
     return end, last
@@ -295,7 +293,7 @@ def _cycles_completed(t: float, dt: float, duration: float) -> int:
     pass_steps = _whole_steps(duration, dt)
     if pass_steps:
         return round(t / dt) // pass_steps
-    return int((t + dt * 1e-6) / duration) if duration > 0.0 else 0
+    return int((t + dt * 1e-6) / duration)
 
 
 def run(
@@ -322,11 +320,16 @@ def run(
 
     Raises:
         ConfigError: If the config fails validation.
+        CycleError: If ``repeat`` is set and the cycle is shorter than one
+            step.
         ValueError: If ``trace_every`` is negative, or ``stop_at_soc`` or
             ``max_time`` is not finite.
         DegenerateVoltageError: If the terminal voltage collapses mid-run.
     """
-    _invariants(config)
+    kernel = _advance(
+        config, cycle, initial_state(config), stop_at_soc, repeat, trace_every
+    )
+    next(kernel)  # validates the config first
     if trace_every < 0:
         raise ValueError(f"trace_every must be >= 0 (got {trace_every})")
     if stop_at_soc is not None and not math.isfinite(stop_at_soc):
@@ -349,11 +352,9 @@ def run(
             time_limited = asked <= cycle_steps
     step_limit = min(cycle_steps, time_steps)
 
-    end, cols, ledger_j, max_err, _ = next(_advance(
-        config, cycle, initial_state(config), step_limit,
-        regen_enabled=regen_enabled, stop_at_soc=stop_at_soc, repeat=repeat,
-        pinned_command=pinned_command, trace_every=trace_every,
-    ))
+    end, cols, ledger_j, max_err, _ = kernel.send(
+        (step_limit, regen_enabled, pinned_command)
+    )
     t, _, dist, _, soc, _, energy_out, energy_regen, _ = end
     # The kernel stops early only at the soc floor, which also outranks a
     # step limit reached on the same step.
@@ -431,27 +432,27 @@ def _advance(
     config: VehicleConfig,
     cycle: DriveCycle,
     start: SimState,
-    step_limit: int,
-    regen_enabled: bool,
     stop_at_soc: float | None,
     repeat: bool,
-    pinned_command: float | None,
     trace_every: int,
     off_lane: list | None = None,
 ) -> Generator[tuple, tuple, None]:
     """The simulation kernel, a generator whose suspended frame is the carry.
 
-    Runs ``step_limit`` steps from ``start``, or fewer once the soc reaches
-    ``stop_at_soc``, then yields ``(end, cols, ledger_j, max_err, last)``:
-    the end ``SimState``; one sequence per TRACE_FIELDS column holding this
-    chunk's records whose step index (counted from ``start``) is a multiple
-    of ``trace_every`` (none when 0); the ledger buckets in joules, in
+    ``next()`` primes it: the config is validated (else ``ConfigError``), a
+    repeated cycle shorter than one step is refused (``CycleError``), and
+    it yields at once with no step run. Each
+    ``send((n, regen_enabled, pinned_command))`` then runs n more steps
+    under those options, or fewer once the soc reaches ``stop_at_soc``,
+    and yields ``(end, cols, ledger_j, max_err, last)``: the end
+    ``SimState``; one sequence per TRACE_FIELDS column holding this chunk's
+    records whose step index (counted from ``start``) is a multiple of
+    ``trace_every`` (none when 0); the ledger buckets in joules, in
     EnergyLedger field order; the largest post-step tracking error [km/h];
-    and the last step's ``TraceRecord`` (None while no step has run).
-    ``send((n, regen_enabled, pinned_command))`` runs n more steps under
-    those options and yields again. The ledger sums, ``max_err``, the cycle
-    cursor and wrap count, and the step index stay in the frame between
-    chunks, so N steps and then M more give the bits of N + M steps.
+    and the last step's ``TraceRecord`` (None while no step has run). The
+    ledger sums, ``max_err``, the cycle cursor and wrap count, and the step
+    index stay in the frame between chunks, so N steps and then M more give
+    the bits of N + M steps.
 
     ``start`` is a ``SimState``: (t, v, distance, PI integral, soc, terminal
     voltage, energy out, energy regen, soc saturated). t may lie anywhere in
@@ -474,13 +475,18 @@ def _advance(
         tau_max, n_max, eta_m, kp, ki, cmd_lo, cmd_hi, vn, z, eta_c,
         rpm_per_kmh, mg, cd_af, kw_rpm, charge_as, half_m, static_rr,
     ) = _invariants(config)
-    regen_charging = bool(regen_enabled)
     tuple_new = tuple.__new__  # skips the named tuples' Python-level __new__
 
     times = cycle.times_s
     speeds = cycle.speeds_kmh
     duration = times[-1]
     v_last = speeds[-1]
+    if repeat and duration < dt:
+        # Each step would wrap dt / duration times, without bound.
+        raise CycleError(
+            f"a repeated cycle must last at least one step of {dt:g} s "
+            f"(got {duration:g} s)"
+        )
 
     t, v, dist, integ, soc, vterm, cum_out, cum_regen, saturated = start
 
@@ -498,12 +504,10 @@ def _advance(
     e_out_o = e_drive_o = e_resist_o = 0.0
 
     collect = trace_every > 0
-    # Nothing is appended without collection, so empty tuples serve.
-    cols = [[] for _ in TRACE_FIELDS] if collect else [()] * len(TRACE_FIELDS)
-    (
-        c_t, c_vt, c_v, c_d, c_cmd, c_tau, c_rpm, c_fric,
-        c_pb, c_cur, c_volt, c_soc, c_rr, c_wr, c_a,
-    ) = cols
+    # The priming yield hands out empty columns. Each chunk binds its own
+    # c_* lists after its send, and only when collecting: nothing reads them
+    # otherwise.
+    cols = [()] * len(TRACE_FIELDS)
 
     # Cycle cursor: placed by bisection at the start time, then forward
     # only. It caches its segment (t0, t1, v0, rise, span) and reloads it when
@@ -525,8 +529,9 @@ def _advance(
     # specialisation on a loop's unconditional backward jump, so a loop
     # condition here leaves the kernel unspecialised for a process's first
     # calls. The chunk boundary is a branch inside the loop, so a resumed
-    # kernel keeps taking that jump too.
-    k = 0
+    # kernel keeps taking that jump too. The first loop top is the priming
+    # yield.
+    k = step_limit = 0
     while True:
         if k >= step_limit or soc <= floor:
             if lane or lane_limit is not None:
@@ -749,7 +754,7 @@ def _advance(
         t = t + dt
         if repeat:
             tq = t - wraps * duration
-            while tq >= duration and duration > 0.0:
+            while tq >= duration:
                 wraps += 1
                 cur_i = 0
                 t1 = 0.0  # reload the segment from the first knot

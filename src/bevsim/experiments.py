@@ -29,8 +29,6 @@ reproducible from the parameter set itself; scenarios report the measured
 value next to the reference instead of asserting it. See the README.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_left
 from collections.abc import Callable, Generator, Sequence
@@ -138,8 +136,7 @@ def _full_throttle(config: VehicleConfig) -> Generator:
     pinned full-throttle command, collecting every step: each
     ``send((n, True, 1.0))`` runs n more steps and yields their columns."""
     kernel = _advance(
-        config, _full_throttle_cycle(), initial_state(config), 0,
-        True, None, True, 1.0, 1,
+        config, _full_throttle_cycle(), initial_state(config), None, True, 1
     )
     next(kernel)
     return kernel
@@ -216,11 +213,11 @@ def _regen_lanes(
     floor = _depletion_floor(config, soc_floor)
     dt = config.sim.dt
     off_lane: list = []
-    end, _, ledger_j, max_err, _ = next(_advance(
-        config, cycle, initial_state(config),
-        _steps_for(config.sim.max_sim_time, dt), True, floor, True, None, 0,
-        off_lane,
-    ))
+    kernel = _advance(config, cycle, initial_state(config), floor, True, 0, off_lane)
+    next(kernel)
+    end, _, ledger_j, max_err, _ = kernel.send(
+        (_steps_for(config.sim.max_sim_time, dt), True, None)
+    )
     (lane,) = off_lane
     if isinstance(lane, Exception):
         raise lane
@@ -475,14 +472,28 @@ def top_speed_oracle(config: VehicleConfig) -> float:
     Root of the full-throttle net force that ``accel_time_oracle``
     integrates (torque- or power-limited), over speeds up to the motor
     speed ceiling; capped at the ceiling when the root lies beyond it.
+
+    Raises:
+        ValueError: If the ceiling is no finite vehicle speed, which leaves
+            nothing to bisect.
     """
     net_force, v_cap, _ = _net_force(config)
+    if v_cap == math.inf:
+        raise ValueError(
+            "the motor speed ceiling is no finite vehicle speed "
+            "(gear ratio too small for the wheel radius)"
+        )
     if net_force(v_cap) >= 0.0:
         return v_cap
-    lo, hi = 0.0, v_cap
+    return _bisect(lambda v: net_force(v) >= 0.0, 0.0, v_cap)
+
+
+def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> float:
+    """The speed [km/h] where ``below`` turns false on [lo, hi], to within
+    the oracle tolerance: the midpoint of the last bracket."""
     while hi - lo > _ORACLE_TOLERANCE_KMH:
         mid = 0.5 * (lo + hi)
-        if net_force(mid) >= 0.0:
+        if below(mid):
             lo = mid
         else:
             hi = mid
@@ -517,11 +528,4 @@ def design_speed_for_power(config: VehicleConfig, power_kw: float) -> float:
             raise ValueError(
                 f"no speed below {_MAX_DESIGN_SPEED_KMH:g} km/h needs {power_kw} kW"
             )
-    lo = 0.0
-    while hi - lo > _ORACLE_TOLERANCE_KMH:
-        mid = 0.5 * (lo + hi)
-        if size_motor(config, mid) < power_kw:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda v: size_motor(config, v) < power_kw, 0.0, hi)

@@ -8,8 +8,6 @@ level keys ``body``, ``motor``, ``battery``, ``drivetrain``, ``driver``,
 ``_replace``), and safe to share across concurrent simulation runs.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from typing import NamedTuple

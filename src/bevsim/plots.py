@@ -6,8 +6,6 @@ figure is one or more stacked panels with axes, tick labels, a legend, and
 a title; axis labels carry units.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -90,36 +88,25 @@ def build_panels(data, kind: str) -> tuple[Panel, ...]:
                 (Series("SoC", trace.t_s, trace.soc, SERIES_COLORS[1]),),
             ),
         )
-    if kind == "accel":
-        if not isinstance(data, AccelReport) or not data.speed_trajectory:
-            raise PlotError("accel plot needs a non-empty AccelReport")
+    if kind in ("accel", "topspeed"):
+        report = AccelReport if kind == "accel" else TopSpeedReport
+        if not isinstance(data, report) or not data.speed_trajectory:
+            raise PlotError(f"{kind} plot needs a non-empty {report.__name__}")
+        if report is AccelReport:
+            title = f"Full-throttle acceleration to {data.target_kmh:g} km/h"
+            label, level = "target", data.target_kmh
+        else:
+            title = "Full-throttle top speed"
+            label, level = "force-balance limit", data.oracle_vmax_kmh
         t = [p[0] for p in data.speed_trajectory]
         v = [p[1] for p in data.speed_trajectory]
-        target = [data.target_kmh] * len(t)
         return (
             Panel(
-                f"Full-throttle acceleration to {data.target_kmh:g} km/h",
+                title,
                 "time [s]",
                 "speed [km/h]",
                 (
-                    Series("target", t, target, TARGET_COLOR),
-                    Series("actual", t, v, ACTUAL_COLOR),
-                ),
-            ),
-        )
-    if kind == "topspeed":
-        if not isinstance(data, TopSpeedReport) or not data.speed_trajectory:
-            raise PlotError("topspeed plot needs a non-empty TopSpeedReport")
-        t = [p[0] for p in data.speed_trajectory]
-        v = [p[1] for p in data.speed_trajectory]
-        oracle = [data.oracle_vmax_kmh] * len(t)
-        return (
-            Panel(
-                "Full-throttle top speed",
-                "time [s]",
-                "speed [km/h]",
-                (
-                    Series("force-balance limit", t, oracle, TARGET_COLOR),
+                    Series(label, t, [level] * len(t), TARGET_COLOR),
                     Series("actual", t, v, ACTUAL_COLOR),
                 ),
             ),

@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevsim import PlotError, cli, parse_config, run, synth_trapezoid
 from bevsim.cli import build_parser, emit_trace, main
 from bevsim.cycle import serialize_cycle
 from bevsim.engine import TRACE_FIELDS, SimTrace
+from bevsim.experiments import accel_test, top_speed_test
 from bevsim.params import serialize_config
 from bevsim.plots import emit_plot
 
@@ -258,6 +265,45 @@ def test_out_of_range_float_flag_exits_one(small_config_path, capsys, argv, expe
     _assert_one_line_error(capsys, code, expected)
 
 
+# Inputs whose arithmetic overflows, or whose result is not finite: each
+# exits 2 with one line, never a traceback or NaN/Infinity in the JSON.
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["simulate"], {"body": {"mass": 1e-300}}),
+        (["topspeed"], {"drivetrain": {"gear_ratio": 1e-300}}),
+        (["simulate", "--dt", "5e-324"], {}),
+        (["simulate"], {"body": {"mass": 1e-10}}),
+        (
+            ["range", "--until-soc", "0.85"],
+            {"body": {"wheel_radius": 5e-324}, "sim": {"dt": 1.0}},
+        ),
+        (["topspeed"], {"drivetrain": {"gear_ratio": 5e-324}}),
+    ],
+    ids=["kernel-overflow", "oracle-overflow", "step-count-overflow",
+         "infinite-residual", "nan-report", "infinite-speed-ceiling"],
+)
+def test_overflowing_or_non_finite_result_exits_two(tmp_path, capsys, argv, doc):
+    path = tmp_path / "vehicle.json"
+    path.write_text(json.dumps(doc))
+    code = main(argv + ["--config", str(path)])
+    _assert_one_line_error(capsys, code, "", exit_code=2)
+
+
+@pytest.mark.parametrize("extra", [[], ["--compare-regen"]], ids=["one-leg", "compare"])
+def test_range_over_a_cycle_shorter_than_one_step_exits_one(tmp_path, capsys, extra):
+    # Repeated, each 0.1 s step would wrap a 0.05 s cycle twice; at 1e-300 s
+    # it would wrap without bound.
+    cycle = tmp_path / "blip.csv"
+    cycle.write_text("t_s,v_kmh\n0,0\n0.05,0\n")
+    config = tmp_path / "vehicle.json"
+    config.write_text('{"sim": {"max_sim_time": 5}}')
+    code = main(
+        ["range", "--cycle", str(cycle), "--config", str(config)] + extra
+    )
+    _assert_one_line_error(capsys, code, "a repeated cycle must last at least one step")
+
+
 def test_single_pass_longer_than_max_sim_time_stops(tmp_path, capsys):
     cycle = tmp_path / "endless.csv"
     cycle.write_text("t_s,v_kmh\n0,0\n1e300,5\n")
@@ -501,6 +547,32 @@ def test_plot_kinds_render(config, udds, tmp_path):
         assert "time [s]" in text
 
 
+@pytest.mark.parametrize(
+    "kind, title, level",
+    [
+        ("accel", "Full-throttle acceleration to 60 km/h", "target"),
+        ("topspeed", "Full-throttle top speed", "force-balance limit"),
+    ],
+)
+def test_report_plots_draw_their_title_and_legend(config, tmp_path, kind, title, level):
+    report = (accel_test if kind == "accel" else top_speed_test)(config, 60.0)
+    path = tmp_path / f"{kind}.svg"
+    emit_plot(report, kind, str(path))
+    text = path.read_text()
+    for label in (title, "time [s]", "speed [km/h]", level, "actual"):
+        assert f">{label}</text>" in text, label
+    assert text.count("<polyline") == 2
+    other, name = (
+        ("topspeed", "TopSpeedReport") if kind == "accel" else ("accel", "AccelReport")
+    )
+    with pytest.raises(PlotError, match=f"^{other} plot needs a non-empty {name}$"):
+        emit_plot(report, other, str(tmp_path / "never.svg"))
+    empty = report._replace(speed_trajectory=())
+    with pytest.raises(PlotError, match=f"^{kind} plot needs a non-empty"):
+        emit_plot(empty, kind, str(tmp_path / "never.svg"))
+    assert not (tmp_path / "never.svg").exists()
+
+
 def test_plot_rejects_empty_trace(config, udds, tmp_path):
     empty, _, _ = run(config, udds, max_time=0.0)
     target = tmp_path / "never.svg"
@@ -554,3 +626,96 @@ def test_cli_runs_without_numpy(tmp_path, package_env):
     assert proc.returncode == 0, proc.stderr
     for name in ("sim.csv", "sim.svg", "r.csv", "r.svg", "a.svg", "t.svg"):
         assert (tmp_path / name).stat().st_size > 0, name
+
+
+# Property fuzz of main: extreme config values, short cycles and every
+# scenario command. Whatever the input, main returns 0, 1 or 2; an error is
+# one stderr line, and a success prints JSON with only finite numbers.
+_EXTREMES = st.sampled_from([0.0, 5e-324, 1e-300, 1e300])
+_FUZZED_FIELDS = {
+    "body": (
+        "mass", "wheel_radius", "frontal_area", "drag_coefficient",
+        "f0", "f1", "f4", "gravity",
+    ),
+    "battery": (
+        "capacity_energy", "nominal_voltage", "internal_resistance",
+        "coulombic_efficiency", "initial_soc", "soc_floor",
+    ),
+    "drivetrain": (
+        "gear_ratio", "transmission_efficiency", "max_friction_brake_force",
+        "regen_efficiency", "regen_cutoff_speed",
+    ),
+}
+_CONFIG_DOCS = st.fixed_dictionaries(
+    {
+        "sim": st.fixed_dictionaries({
+            "dt": st.sampled_from([0.1, 1.0, 5e-324]),
+            "max_sim_time": st.sampled_from([0.5, 30.0, 300.0]),
+        }),
+    },
+    optional={
+        section: st.dictionaries(st.sampled_from(fields), _EXTREMES, max_size=2)
+        for section, fields in _FUZZED_FIELDS.items()
+    },
+)
+# 2-6 knots from t = 0; some gaps are shorter than any step.
+_CYCLES = st.none() | st.lists(
+    st.tuples(
+        st.sampled_from([1e-300, 0.05, 0.3, 7.0, 120.0]), st.floats(0.0, 150.0)
+    ),
+    min_size=1, max_size=5,
+)
+_COMMANDS = st.sampled_from([
+    ["simulate"],
+    ["simulate", "--repeat", "3", "--every", "7", "--out", "t.csv"],
+    ["simulate", "--no-regen", "--plot", "t.svg"],
+    ["range"],
+    ["range", "--until-soc", "0.85", "--out", "r.csv", "--plot", "r.svg"],
+    ["range", "--compare-regen"],
+    ["range", "--compare-regen", "--until-soc", "0.5"],
+    ["accel"],
+    ["accel", "--target", "30", "--plot", "a.svg"],
+    ["accel", "--target", "1e300"],
+    ["topspeed", "--duration", "300", "--plot", "s.svg"],
+    ["topspeed", "--duration", "1e-300"],
+    ["size-motor", "--speed", "1e-300"],
+    ["size-motor", "--power", "50", "--speed", "80"],
+    ["size-motor", "--power", "1e300"],
+])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@given(doc=_CONFIG_DOCS, knots=_CYCLES, argv=_COMMANDS)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_main_ends_in_finite_json_or_one_error_line(doc, knots, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "vehicle.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        # Output files go to the temporary directory too.
+        args = [
+            os.path.join(tmp, a) if a.endswith((".csv", ".svg")) else a
+            for a in argv
+        ] + ["--config", config]
+        if knots is not None:
+            t = 0.0
+            rows = ["t_s,v_kmh", "0,0"]
+            for gap, v in knots:
+                t += gap
+                rows.append(f"{t!r},{v!r}")
+            path = os.path.join(tmp, "cycle.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(rows) + "\n")
+            args += ["--cycle", path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -11,6 +11,7 @@ from step_reference import reference_run, reference_step, target_speed
 
 from bevsim import (
     ConfigError,
+    CycleError,
     DegenerateVoltageError,
     DriveCycle,
     EnvelopeError,
@@ -360,6 +361,21 @@ def test_step_rejects_an_invalid_config(config, udds, change, field):
         run(bad, udds)
 
 
+def test_a_repeated_cycle_shorter_than_one_step_is_refused(config):
+    with pytest.raises(CycleError, match="must last at least one step of 0.1 s"):
+        run(
+            config, DriveCycle("blip", (0.0, 0.05), (0.0, 0.0)), repeat=True,
+            max_time=2.0,
+        )
+    # One step long is enough: every step wraps once.
+    _, summary, _ = run(
+        config, DriveCycle("tick", (0.0, 0.1), (0.0, 0.0)), repeat=True,
+        max_time=2.0,
+    )
+    assert summary.cycles_completed == 20
+    assert summary.stop_reason is StopReason.MAX_TIME
+
+
 # step() resumes the kernel of the last session when handed back the state
 # it returned, with the same cycle and config objects.
 @pytest.fixture
@@ -459,7 +475,8 @@ def test_a_kernel_is_taken_before_it_resumes(config, monkeypatch):
 
     def interrupted(*args, **kwargs):
         kernel = advance(*args, **kwargs)
-        out = next(kernel)
+        # Primed, then the fresh step's own send: not yet a resume.
+        out = kernel.send((yield next(kernel)))
         while True:
             options = yield out
             if not nested:
@@ -477,7 +494,8 @@ def test_a_kernel_is_taken_before_it_resumes(config, monkeypatch):
 # wraps, the stop clamp, and a tiny battery whose SoC floor (reached at step
 # 53) falls inside a chunk.
 def _chunk_scenario(config, name):
-    """(config, cycle, kernel options after start and step_limit)."""
+    """(config, cycle, kernel options: those fixed at creation and those sent
+    with each chunk)."""
     if name == "wraps":
         return config, _SHORT, dict(
             regen_enabled=True, stop_at_soc=None, repeat=True, pinned_command=None
@@ -508,19 +526,19 @@ def test_kernel_resumed_in_chunks_equals_one_call(
 ):
     cfg, cycle, options = _chunk_scenario(config, scenario)
     start = initial_state(cfg)
+    sent = (options["regen_enabled"], options["pinned_command"])
 
-    def kernel(step_limit):
-        return engine._advance(
-            cfg, cycle, start, step_limit, trace_every=trace_every, **options
+    def kernel():
+        primed = engine._advance(
+            cfg, cycle, start, options["stop_at_soc"], options["repeat"],
+            trace_every,
         )
+        next(primed)
+        return primed
 
-    chunked = kernel(sizes[0])
-    chunks = [next(chunked)]
-    for n in sizes[1:]:
-        chunks.append(
-            chunked.send((n, options["regen_enabled"], options["pinned_command"]))
-        )
-    end, cols, ledger_j, max_err, last = next(kernel(sum(sizes)))
+    chunked = kernel()
+    chunks = [chunked.send((n, *sent)) for n in sizes]
+    end, cols, ledger_j, max_err, last = kernel().send((sum(sizes), *sent))
     if scenario == "soc-floor" and sum(sizes) >= 53:
         assert end.soc <= 0.85
     got_end, _, got_ledger, got_max_err, got_last = chunks[-1]
