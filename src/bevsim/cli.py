@@ -246,13 +246,21 @@ def _summary_dict(summary: SimSummary) -> dict:
     return d
 
 
-def _ledger_dict(ledger: EnergyLedger) -> dict:
-    d = ledger._asdict()
-    d["residual"] = ledger.residual
+def _print_run(payload: dict, ledger: EnergyLedger) -> int:
+    """Print a run's JSON with its ledger last, then fail (exit 2) if the
+    ledger did not close."""
     check = ledger_check(ledger)
+    payload["ledger"] = d = ledger._asdict()
+    d["residual"] = check.residual_kwh
     d["check_passed"] = check.passed
     d["residual_fraction"] = check.residual_fraction
-    return d
+    _print_json(payload)
+    if not check.passed:
+        raise BevSimError(
+            f"energy ledger does not close: residual {check.residual_kwh:.6g} kWh, "
+            f"{100 * check.residual_fraction:.6g}% of battery output (limit 0.5%)"
+        )
+    return 0
 
 
 _TRACE_ROW = ",".join(["%.6g"] * len(TRACE_FIELDS)) + "\n"
@@ -290,7 +298,7 @@ def cmd_simulate(args) -> int:
     if args.plot:
         emit_plot(trace, "tracking", args.plot)
     stats = cycle_stats(cycle)
-    _print_json(
+    return _print_run(
         {
             "schema_version": SCHEMA_VERSION,
             "command": "simulate",
@@ -301,10 +309,9 @@ def cmd_simulate(args) -> int:
                 "max_speed_kmh": stats.max_speed_kmh,
             },
             "summary": _summary_dict(summary),
-            "ledger": _ledger_dict(ledger),
-        }
+        },
+        ledger,
     )
-    return 0
 
 
 def cmd_range(args) -> int:
@@ -347,16 +354,15 @@ def cmd_range(args) -> int:
         emit_trace(trace, args.out)
     if args.plot:
         emit_plot(trace, "range_soc", args.plot)
-    _print_json(
+    return _print_run(
         {
             "schema_version": SCHEMA_VERSION,
             "command": "range",
             "cycle": cycle.name,
             "report": report._asdict(),
-            "ledger": _ledger_dict(ledger),
-        }
+        },
+        ledger,
     )
-    return 0
 
 
 def cmd_accel(args) -> int:

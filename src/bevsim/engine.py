@@ -365,7 +365,9 @@ def run(
     else:
         reason = StopReason.CYCLE_END
 
-    trace = SimTrace(*(array("d", col) for col in cols))
+    if not trace_every:  # the kernel handed out empty tuples
+        cols = [array("d") for _ in TRACE_FIELDS]
+    trace = SimTrace(*cols)
     cycle_max = max(cycle.speeds_kmh)
     summary = SimSummary(
         duration_s=t,
@@ -445,9 +447,11 @@ def _advance(
     ``send((n, regen_enabled, pinned_command))`` then runs n more steps
     under those options, or fewer once the soc reaches ``stop_at_soc``,
     and yields ``(end, cols, ledger_j, max_err, last)``: the end
-    ``SimState``; one sequence per TRACE_FIELDS column holding this chunk's
-    records whose step index (counted from ``start``) is a multiple of
-    ``trace_every`` (none when 0); the ledger buckets in joules, in
+    ``SimState``; one ``array('d')`` per TRACE_FIELDS column holding this
+    chunk's records whose step index (counted from ``start``) is a
+    multiple of ``trace_every``, each a strided slice of the one flat
+    buffer the chunk's packed records fill (with ``trace_every`` 0, an
+    empty tuple per column and no buffer); the ledger buckets in joules, in
     EnergyLedger field order; the largest post-step tracking error [km/h];
     and the last step's ``TraceRecord`` (None while no step has run). The
     ledger sums, ``max_err``, the cycle cursor and wrap count, and the step
@@ -503,11 +507,20 @@ def _advance(
     soc_o, vterm_o, out_o, regen_o, sat_o = soc, vterm, cum_out, cum_regen, saturated
     e_out_o = e_drive_o = e_resist_o = 0.0
 
+    # Each kept step appends its packed record to one flat buffer (packing
+    # converts the 15 floats at a third of array.extend's cost); each yield
+    # hands out the buffer's strided columns and empties it. Without
+    # collection every yield hands out these empty columns, and nothing is
+    # allocated or imported.
     collect = trace_every > 0
-    # The priming yield hands out empty columns. Each chunk binds its own
-    # c_* lists after its send, and only when collecting: nothing reads them
-    # otherwise.
-    cols = [()] * len(TRACE_FIELDS)
+    width = len(TRACE_FIELDS)
+    cols = [()] * width
+    if collect:
+        from struct import Struct
+
+        rows = array("d")
+        record = rows.frombytes
+        pack = Struct(f"{width}d").pack
 
     # Cycle cursor: placed by bisection at the start time, then forward
     # only. It caches its segment (t0, t1, v0, rise, span) and reloads it when
@@ -532,273 +545,263 @@ def _advance(
     # kernel keeps taking that jump too. The first loop top is the priming
     # yield.
     k = step_limit = 0
-    while True:
-        if k >= step_limit or soc <= floor:
-            if lane or lane_limit is not None:
-                off_lane[:] = ((
+    try:
+        while True:
+            if k >= step_limit or soc <= floor:
+                if lane or lane_limit is not None:
+                    off_lane[:] = ((
+                        tuple_new(SimState, (
+                            t, v, dist, integ, soc_o, vterm_o, out_o, regen_o, sat_o
+                        )),
+                        (e_out_o, 0.0, e_kin, e_roll, e_aero, e_fric, e_drive_o,
+                         e_resist_o),
+                        max_err,
+                    ),)
+                    if lane_limit is not None:  # the lane reached its floor
+                        step_limit, lane_limit = lane_limit, None
+                        continue
+                if collect:
+                    cols = [rows[i::width] for i in range(width)]
+                    del rows[:]
+                n, regen_enabled, pinned_command = yield (
                     tuple_new(SimState, (
-                        t, v, dist, integ, soc_o, vterm_o, out_o, regen_o, sat_o
+                        t, v, dist, integ, soc, vterm, cum_out, cum_regen, saturated
                     )),
-                    (e_out_o, 0.0, e_kin, e_roll, e_aero, e_fric, e_drive_o,
-                     e_resist_o),
+                    cols,
+                    (e_out, e_regen, e_kin, e_roll, e_aero, e_fric, e_drive, e_resist),
                     max_err,
-                ),)
-                if lane_limit is not None:  # the lane reached its floor
-                    step_limit, lane_limit = lane_limit, None
-                    continue
-            n, regen_enabled, pinned_command = yield (
-                tuple_new(SimState, (
-                    t, v, dist, integ, soc, vterm, cum_out, cum_regen, saturated
-                )),
-                cols,
-                (e_out, e_regen, e_kin, e_roll, e_aero, e_fric, e_drive, e_resist),
-                max_err,
-                tuple_new(TraceRecord, (
-                    t, target, v, dist, cmd, tau_signed, rpm, f_fric,
-                    p_batt, current, vterm, soc, rr, wr, a,
-                )) if k else None,
-            )
-            regen_charging = bool(regen_enabled)
-            step_limit = k + n
-            if collect:
-                cols = [[] for _ in TRACE_FIELDS]
-                (
-                    c_t, c_vt, c_v, c_d, c_cmd, c_tau, c_rpm, c_fric,
-                    c_pb, c_cur, c_volt, c_soc, c_rr, c_wr, c_a,
-                ) = cols
-            continue
+                    tuple_new(TraceRecord, (
+                        t, target, v, dist, cmd, tau_signed, rpm, f_fric,
+                        p_batt, current, vterm, soc, rr, wr, a,
+                    )) if k else None,
+                )
+                step_limit = k + n
+                continue
 
-        # --- driver ---
-        if pinned_command is None:
-            dv = target - v
-            candidate = integ + dv * dt
-            raw = kp * dv + ki * candidate
-            if raw > cmd_hi:
-                cmd = cmd_hi
-                if dv <= 0.0:
-                    integ = candidate
-            elif raw < cmd_lo:
-                cmd = cmd_lo
-                if dv >= 0.0:
-                    integ = candidate
-            else:
-                cmd = raw
-                integ = candidate
-        else:
-            cmd = pinned_command
-
-        # --- actuation split ---
-        rpm = rpm_per_kmh * v
-        if rpm > n_max:
-            avail = 0.0
-        elif rpm == 0.0:
-            avail = tau_max
-        else:
-            q = kw_rpm / rpm
-            avail = q if q < tau_max else tau_max
-        if cmd >= 0.0:
-            tau_p = cmd * avail
-            tau_r = 0.0
-            f_regen = 0.0
-            f_fric = 0.0
-        else:
-            tau_p = 0.0
-            if v > cutoff:
-                cap_wheel = avail * gr / (eta_t * rw)
-            else:
-                cap_wheel = 0.0
-            demand = -cmd * (fric_max + cap_wheel)
-            f_alloc = demand if demand <= cap_wheel else cap_wheel
-            remainder = demand - f_alloc
-            f_fric = remainder if remainder <= fric_max else fric_max
-            tau_r = f_alloc * eta_t * rw / gr
-            f_regen = tau_r * gr / eta_t / rw
-
-        f_p = tau_p * gr * eta_t / rw
-
-        # --- road loads, acceleration, integration ---
-        v_ms = v / 3.6
-        if v > 0.0:
-            x = v / 100.0
-            rr = mg * (f0 + f1 * x + f4 * x**4)
-            wr = cd_af * v * v / 21.15
-            a = (f_p - f_regen - f_fric - rr - wr) / m
-            v2 = v + a * dt * 3.6
-            if v2 < 0.0:
-                brake_needed = m * v_ms / dt - rr - wr
-                if brake_needed <= 0.0:
-                    f_regen = 0.0
-                    f_fric = 0.0
-                    tau_r = 0.0
-                elif brake_needed <= f_regen:
-                    tau_r = brake_needed * eta_t * rw / gr
-                    f_regen = tau_r * gr / eta_t / rw
-                    f_fric = 0.0
+            # --- driver ---
+            if pinned_command is None:
+                dv = target - v
+                candidate = integ + dv * dt
+                raw = kp * dv + ki * candidate
+                if raw > cmd_hi:
+                    cmd = cmd_hi
+                    if dv <= 0.0:
+                        integ = candidate
+                elif raw < cmd_lo:
+                    cmd = cmd_lo
+                    if dv >= 0.0:
+                        integ = candidate
                 else:
-                    f_fric = brake_needed - f_regen
-                a = -v_ms / dt
+                    cmd = raw
+                    integ = candidate
+            else:
+                cmd = pinned_command
+
+            # --- actuation split ---
+            rpm = rpm_per_kmh * v
+            if rpm > n_max:
+                avail = 0.0
+            elif rpm == 0.0:
+                avail = tau_max
+            else:
+                q = kw_rpm / rpm
+                avail = q if q < tau_max else tau_max
+            if cmd >= 0.0:
+                tau_p = cmd * avail
+                tau_r = 0.0
+                f_regen = 0.0
+                f_fric = 0.0
+            else:
+                tau_p = 0.0
+                if v > cutoff:
+                    cap_wheel = avail * gr / (eta_t * rw)
+                else:
+                    cap_wheel = 0.0
+                demand = -cmd * (fric_max + cap_wheel)
+                f_alloc = demand if demand <= cap_wheel else cap_wheel
+                remainder = demand - f_alloc
+                f_fric = remainder if remainder <= fric_max else fric_max
+                tau_r = f_alloc * eta_t * rw / gr
+                f_regen = tau_r * gr / eta_t / rw
+
+            f_p = tau_p * gr * eta_t / rw
+
+            # --- road loads, acceleration, integration ---
+            v_ms = v / 3.6
+            if v > 0.0:
+                x = v / 100.0
+                rr = mg * (f0 + f1 * x + f4 * x**4)
+                wr = cd_af * v * v / 21.15
+                a = (f_p - f_regen - f_fric - rr - wr) / m
                 v2 = v + a * dt * 3.6
-        else:
-            rr = 0.0
-            wr = 0.0
-            f_regen = 0.0
-            f_fric = 0.0
-            tau_r = 0.0
-            if f_p > static_rr:
-                a = f_p / m
+                if v2 < 0.0:
+                    brake_needed = m * v_ms / dt - rr - wr
+                    if brake_needed <= 0.0:
+                        f_regen = 0.0
+                        f_fric = 0.0
+                        tau_r = 0.0
+                    elif brake_needed <= f_regen:
+                        tau_r = brake_needed * eta_t * rw / gr
+                        f_regen = tau_r * gr / eta_t / rw
+                        f_fric = 0.0
+                    else:
+                        f_fric = brake_needed - f_regen
+                    a = -v_ms / dt
+                    v2 = v + a * dt * 3.6
             else:
-                f_p = 0.0
-                a = 0.0
-            v2 = v + a * dt * 3.6
-        if v2 < 0.0:
-            v2 = 0.0
-        v2_ms = v2 / 3.6
-        dist = dist + v2_ms * dt / 1000.0
-
-        # --- electrical and battery ---
-        if tau_p > 0.0:
-            tau_signed = tau_p
-            p_elec = tau_signed * rpm / RPM_KW_CONSTANT / eta_m
-            p_batt = p_elec
-        elif tau_r > 0.0:
-            tau_signed = -tau_r
-            p_elec = tau_signed * rpm / RPM_KW_CONSTANT * eta_m
-            p_batt = (p_elec * eta_regen if regen_charging else 0.0) + 0.0
-        else:
-            tau_signed = 0.0
-            p_elec = 0.0
-            p_batt = 0.0
-        if vterm < 1.0:
-            raise DegenerateVoltageError(
-                f"terminal voltage {vterm:.3f} V below 1 V floor at t = {t:.1f} s"
-            )
-        current = 1000.0 * p_batt / vterm + 0.0
-        d_soc = eta_c * current * dt / charge_as
-        soc = soc - d_soc
-        if soc > 1.0:
-            soc = 1.0
-            saturated = True
-        elif soc < 0.0:
-            soc = 0.0
-            saturated = True
-        vterm = vn - z * current
-        e_term_j = vterm * current * dt
-        e_term_kwh = e_term_j / 3.6e6
-        if current >= 0.0:
-            cum_out += e_term_kwh
-        else:
-            cum_regen += -e_term_kwh
-
-        # --- ledger (storage-side battery energy; midpoint displacement) ---
-        s_mid = (v_ms + v2_ms) * 0.5 * dt
-        if current > 0.0:
-            out_j = vn * current * dt
-            e_out += out_j
-        elif current < 0.0:
-            e_regen += -vn * current * dt
-        # Terminal electrical net minus wheel net work; covers propulsion
-        # losses, regen losses, and discarded regen when charging is off.
-        wheel_j = (f_p - f_regen) * s_mid
-        drive_j = e_term_j - wheel_j
-        e_drive += drive_j
-        resist_j = z * current * current * dt
-        e_resist += resist_j
-        e_roll += rr * s_mid
-        e_aero += wr * s_mid
-        e_fric += f_fric * s_mid
-        e_kin += half_m * (v2_ms * v2_ms - v_ms * v_ms)
-
-        # --- regen-off lane: its battery and battery-side ledger terms ---
-        # It draws only when motoring, so its soc only falls and its regen
-        # totals stay put. Adding or skipping a zero term gives the same
-        # bits, so a step that draws nothing only resets the voltage and
-        # moves the drivetrain term.
-        if lane:
-            if vterm_o < 1.0:
-                lane = False
-                off_lane[:] = (DegenerateVoltageError(
-                    f"terminal voltage {vterm_o:.3f} V below 1 V floor "
-                    f"at t = {t:.1f} s"
-                ),)
-            elif tau_p > 0.0:
-                cur_o = 1000.0 * p_batt / vterm_o + 0.0
-                if cur_o == current and cur_o > 0.0:
-                    # Same current, same terms: the lanes' voltages have
-                    # met again since the last regen step (most steps).
-                    soc_o = soc_o - d_soc
-                    vterm_o = vterm
-                    out_o += e_term_kwh
-                    e_out_o += out_j
-                    e_drive_o += drive_j
-                    e_resist_o += resist_j
+                rr = 0.0
+                wr = 0.0
+                f_regen = 0.0
+                f_fric = 0.0
+                tau_r = 0.0
+                if f_p > static_rr:
+                    a = f_p / m
                 else:
-                    soc_o = soc_o - eta_c * cur_o * dt / charge_as
-                    vterm_o = vn - z * cur_o
-                    e_term_j = vterm_o * cur_o * dt
-                    out_o += e_term_j / 3.6e6
-                    e_out_o += vn * cur_o * dt
-                    e_drive_o += e_term_j - wheel_j
-                    e_resist_o += z * cur_o * cur_o * dt
-                if soc_o < 0.0:
-                    soc_o = 0.0
-                    sat_o = True
-                if soc_o <= floor:
-                    # Stop the lane at the next loop top, after this step.
-                    lane = False
-                    step_limit, lane_limit = k + 1, step_limit
+                    f_p = 0.0
+                    a = 0.0
+                v2 = v + a * dt * 3.6
+            if v2 < 0.0:
+                v2 = 0.0
+            v2_ms = v2 / 3.6
+            dist = dist + v2_ms * dt / 1000.0
+
+            # --- electrical and battery ---
+            if tau_p > 0.0:
+                tau_signed = tau_p
+                p_elec = tau_signed * rpm / RPM_KW_CONSTANT / eta_m
+                p_batt = p_elec
+            elif tau_r > 0.0:
+                tau_signed = -tau_r
+                p_elec = tau_signed * rpm / RPM_KW_CONSTANT * eta_m
+                p_batt = (p_elec * eta_regen if regen_enabled else 0.0) + 0.0
             else:
-                vterm_o = vn
-                e_drive_o -= wheel_j
+                tau_signed = 0.0
+                p_elec = 0.0
+                p_batt = 0.0
+            if vterm < 1.0:
+                raise DegenerateVoltageError(
+                    f"terminal voltage {vterm:.3f} V below 1 V floor at t = {t:.1f} s"
+                )
+            current = 1000.0 * p_batt / vterm + 0.0
+            d_soc = eta_c * current * dt / charge_as
+            soc = soc - d_soc
+            if soc > 1.0:
+                soc = 1.0
+                saturated = True
+            elif soc < 0.0:
+                soc = 0.0
+                saturated = True
+            vterm = vn - z * current
+            e_term_j = vterm * current * dt
+            e_term_kwh = e_term_j / 3.6e6
+            if current >= 0.0:
+                cum_out += e_term_kwh
+            else:
+                cum_regen += -e_term_kwh
 
-        # --- advance time, look up next target, record ---
-        t = t + dt
-        if repeat:
-            tq = t - wraps * duration
-            while tq >= duration:
-                wraps += 1
-                cur_i = 0
-                t1 = 0.0  # reload the segment from the first knot
+            # --- ledger (storage-side battery energy; midpoint displacement) ---
+            s_mid = (v_ms + v2_ms) * 0.5 * dt
+            if current > 0.0:
+                out_j = vn * current * dt
+                e_out += out_j
+            elif current < 0.0:
+                e_regen += -vn * current * dt
+            # Terminal electrical net minus wheel net work; covers propulsion
+            # losses, regen losses, and discarded regen when charging is off.
+            wheel_j = (f_p - f_regen) * s_mid
+            drive_j = e_term_j - wheel_j
+            e_drive += drive_j
+            resist_j = z * current * current * dt
+            e_resist += resist_j
+            e_roll += rr * s_mid
+            e_aero += wr * s_mid
+            e_fric += f_fric * s_mid
+            e_kin += half_m * (v2_ms * v2_ms - v_ms * v_ms)
+
+            # --- regen-off lane: its battery and battery-side ledger terms ---
+            # It draws only when motoring, so its soc only falls and its regen
+            # totals stay put. Adding or skipping a zero term gives the same
+            # bits, so a step that draws nothing only resets the voltage and
+            # moves the drivetrain term.
+            if lane:
+                if vterm_o < 1.0:
+                    lane = False
+                    off_lane[:] = (DegenerateVoltageError(
+                        f"terminal voltage {vterm_o:.3f} V below 1 V floor "
+                        f"at t = {t:.1f} s"
+                    ),)
+                elif tau_p > 0.0:
+                    cur_o = 1000.0 * p_batt / vterm_o + 0.0
+                    if cur_o == current and cur_o > 0.0:
+                        # Same current, same terms: the lanes' voltages have
+                        # met again since the last regen step (most steps).
+                        soc_o = soc_o - d_soc
+                        vterm_o = vterm
+                        out_o += e_term_kwh
+                        e_out_o += out_j
+                        e_drive_o += drive_j
+                        e_resist_o += resist_j
+                    else:
+                        soc_o = soc_o - eta_c * cur_o * dt / charge_as
+                        vterm_o = vn - z * cur_o
+                        e_term_j = vterm_o * cur_o * dt
+                        out_o += e_term_j / 3.6e6
+                        e_out_o += vn * cur_o * dt
+                        e_drive_o += e_term_j - wheel_j
+                        e_resist_o += z * cur_o * cur_o * dt
+                    if soc_o < 0.0:
+                        soc_o = 0.0
+                        sat_o = True
+                    if soc_o <= floor:
+                        # Stop the lane at the next loop top, after this step.
+                        lane = False
+                        step_limit, lane_limit = k + 1, step_limit
+                else:
+                    vterm_o = vn
+                    e_drive_o -= wheel_j
+
+            # --- advance time, look up next target, record ---
+            t = t + dt
+            if repeat:
                 tq = t - wraps * duration
-        else:
-            tq = t
-        if tq >= duration:
-            target = v_last
-        else:
-            if tq >= t1:
-                while times[cur_i + 1] <= tq:
-                    cur_i += 1
-                t0 = times[cur_i]
-                t1 = times[cur_i + 1]
-                v0 = speeds[cur_i]
-                rise = speeds[cur_i + 1] - v0
-                span = t1 - t0
-            target = v0 + rise * ((tq - t0) / span)
+                while tq >= duration:
+                    wraps += 1
+                    cur_i = 0
+                    t1 = 0.0  # reload the segment from the first knot
+                    tq = t - wraps * duration
+            else:
+                tq = t
+            if tq >= duration:
+                target = v_last
+            else:
+                if tq >= t1:
+                    while times[cur_i + 1] <= tq:
+                        cur_i += 1
+                    t0 = times[cur_i]
+                    t1 = times[cur_i + 1]
+                    v0 = speeds[cur_i]
+                    rise = speeds[cur_i + 1] - v0
+                    span = t1 - t0
+                target = v0 + rise * ((tq - t0) / span)
 
-        err = target - v2
-        if err < 0.0:
-            err = -err
-        if err > max_err:
-            max_err = err
+            err = target - v2
+            if err < 0.0:
+                err = -err
+            if err > max_err:
+                max_err = err
 
-        if collect and k % trace_every == 0:
-            c_t.append(t)
-            c_vt.append(target)
-            c_v.append(v2)
-            c_d.append(dist)
-            c_cmd.append(cmd)
-            c_tau.append(tau_signed)
-            c_rpm.append(rpm)
-            c_fric.append(f_fric)
-            c_pb.append(p_batt)
-            c_cur.append(current)
-            c_volt.append(vterm)
-            c_soc.append(soc)
-            c_rr.append(rr)
-            c_wr.append(wr)
-            c_a.append(a)
+            if collect and k % trace_every == 0:
+                record(pack(
+                    t, target, v2, dist, cmd, tau_signed, rpm, f_fric,
+                    p_batt, current, vterm, soc, rr, wr, a,
+                ))
 
-        v = v2
-        k += 1
+            v = v2
+            k += 1
+    except OverflowError:  # only x**4 raises on overflow; the rest turn inf
+        raise OverflowError(
+            f"rolling resistance overflowed at t = {t:g} s (speed {v:g} km/h)"
+        ) from None
 
 
 def ledger_check(ledger: EnergyLedger) -> LedgerCheck:

@@ -60,7 +60,7 @@ _ORACLE_TOLERANCE_KMH = 0.01
 _FULL_THROTTLE_TIME_CAP_S = 600.0
 _FIRST_ACCEL_HORIZON_S = 32.0
 _SIMPSON_INTERVALS = 400  # even; per side of the torque/power corner
-_TOP_SPEED_CHUNK_STEPS = 4096  # a chunk's 15 trace columns hold about 2 MB
+_TOP_SPEED_CHUNK_STEPS = 4096  # a chunk: 0.5 MB of buffer plus 0.5 MB of columns
 _MAX_DESIGN_SPEED_KMH = 1e5  # the bound of size_motor and its inverse
 # Plots draw at most this many points of a trajectory, thinned by a stride.
 _MAX_PLOT_POINTS = 4000

@@ -321,6 +321,13 @@ def validate(config: VehicleConfig) -> list[str]:
     if not 0.0 < s.dt <= 1.0:
         v.append(f"sim.dt: must be in (0, 1] (got {s.dt})")
     _positive(v, "sim.max_sim_time", s.max_sim_time)
+    if s.dt > 0.0 and 0.0 < s.max_sim_time < math.inf and (
+        s.max_sim_time / s.dt == math.inf
+    ):
+        v.append(
+            "sim.max_sim_time / sim.dt: must be a finite step count "
+            f"(got {s.max_sim_time} / {s.dt})"
+        )
     return v
 
 

@@ -120,22 +120,22 @@ def _require_trace(data, kind: str) -> SimTrace:
     return data
 
 
-def render(panels: tuple[Panel, ...], width: int = _WIDTH) -> str:
+def render(panels: tuple[Panel, ...]) -> str:
     if not panels:
         raise PlotError("nothing to plot")
     height = _PANEL_HEIGHT * len(panels)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{height}" viewBox="0 0 {_WIDTH} {height}">',
+        f'<rect width="{_WIDTH}" height="{height}" fill="#ffffff"/>',
     ]
     for i, panel in enumerate(panels):
-        parts.append(_render_panel(panel, i * _PANEL_HEIGHT, width))
+        parts.append(_render_panel(panel, i * _PANEL_HEIGHT))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _render_panel(panel: Panel, y_off: int, width: int) -> str:
+def _render_panel(panel: Panel, y_off: int) -> str:
     if not panel.series or all(len(s.x) == 0 for s in panel.series):
         raise PlotError(f"panel '{panel.title}' has no data")
     x_lo = min(min(s.x) for s in panel.series)
@@ -152,7 +152,7 @@ def _render_panel(panel: Panel, y_off: int, width: int) -> str:
 
     plot_x = _MARGIN_L
     plot_y = y_off + _MARGIN_T
-    plot_w = width - _MARGIN_L - _MARGIN_R
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _PANEL_HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(x: float) -> float:

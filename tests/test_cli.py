@@ -110,6 +110,21 @@ def test_emit_trace_formats_edge_values_like_format_6g(tmp_path):
     assert path.read_text() == "\n".join(expected) + "\n"
 
 
+def test_emit_trace_writes_pinned_6g_bytes(tmp_path):
+    # Exact text, not format() as the oracle; -0 also shows that a column
+    # keeps its signed zero.
+    pinned = {
+        -0.0: "-0", 5e-324: "4.94066e-324", 1e-05: "1e-05",
+        0.000123456789: "0.000123457", 123456.5: "123456",
+        1234567.0: "1.23457e+06", 1e21: "1e+21",
+    }
+    cols = {f: array("d", pinned) for f in TRACE_FIELDS}
+    path = tmp_path / "pinned.csv"
+    emit_trace(SimTrace(**cols), str(path))
+    rows = [",".join([text] * len(TRACE_FIELDS)) for text in pinned.values()]
+    assert path.read_text() == "\n".join([EXPECTED_HEADER] + rows) + "\n"
+
+
 def test_repeated_invocations_are_byte_identical(tmp_path, short_cycle_path, capsys):
     outputs = []
     files = []
@@ -268,26 +283,65 @@ def test_out_of_range_float_flag_exits_one(small_config_path, capsys, argv, expe
 # Inputs whose arithmetic overflows, or whose result is not finite: each
 # exits 2 with one line, never a traceback or NaN/Infinity in the JSON.
 @pytest.mark.parametrize(
-    "argv, doc",
+    "argv, doc, expected",
     [
-        (["simulate"], {"body": {"mass": 1e-300}}),
-        (["topspeed"], {"drivetrain": {"gear_ratio": 1e-300}}),
-        (["simulate", "--dt", "5e-324"], {}),
-        (["simulate"], {"body": {"mass": 1e-10}}),
+        (
+            ["simulate"], {"body": {"mass": 1e-300}},
+            "rolling resistance overflowed at t = ",
+        ),
+        (["topspeed"], {"drivetrain": {"gear_ratio": 1e-300}}, ""),
+        (["simulate"], {"body": {"mass": 1e-10}}, ""),
         (
             ["range", "--until-soc", "0.85"],
-            {"body": {"wheel_radius": 5e-324}, "sim": {"dt": 1.0}},
+            {"body": {"wheel_radius": 5e-324}, "sim": {"dt": 1.0}}, "",
         ),
-        (["topspeed"], {"drivetrain": {"gear_ratio": 5e-324}}),
+        (["topspeed"], {"drivetrain": {"gear_ratio": 5e-324}}, ""),
     ],
-    ids=["kernel-overflow", "oracle-overflow", "step-count-overflow",
-         "infinite-residual", "nan-report", "infinite-speed-ceiling"],
+    ids=["kernel-overflow", "oracle-overflow", "infinite-residual",
+         "nan-report", "infinite-speed-ceiling"],
 )
-def test_overflowing_or_non_finite_result_exits_two(tmp_path, capsys, argv, doc):
+def test_overflowing_or_non_finite_result_exits_two(
+    tmp_path, capsys, argv, doc, expected
+):
     path = tmp_path / "vehicle.json"
     path.write_text(json.dumps(doc))
     code = main(argv + ["--config", str(path)])
-    _assert_one_line_error(capsys, code, "", exit_code=2)
+    _assert_one_line_error(capsys, code, expected, exit_code=2)
+
+
+# max_sim_time / dt overflows to an infinite step count: a config error
+# naming both fields, from the --dt flag or from the file.
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["simulate", "--dt", "5e-324"], {}),
+        (["range"], {"sim": {"dt": 1e-300, "max_sim_time": 1e10}}),
+    ],
+    ids=["step-count-overflow", "config-file"],
+)
+def test_step_count_that_overflows_exits_one(tmp_path, capsys, argv, doc):
+    path = tmp_path / "vehicle.json"
+    path.write_text(json.dumps(doc))
+    code = main(argv + ["--config", str(path)])
+    _assert_one_line_error(
+        capsys, code, "sim.max_sim_time / sim.dt: must be a finite step count"
+    )
+
+
+# A drag coefficient of 9.3e6 at dt 1 s leaves a residual of about 7000
+# times the battery output: the JSON still prints, then the run exits 2.
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["range", "--until-soc", "0.85"]], ids=["simulate", "range"]
+)
+def test_ledger_that_does_not_close_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "vehicle.json"
+    path.write_text('{"body": {"drag_coefficient": 9.3e6}}')
+    code = main(argv + ["--dt", "1", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["ledger"]["check_passed"] is False
+    assert err.startswith("error: energy ledger does not close: ")
+    assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("extra", [[], ["--compare-regen"]], ids=["one-leg", "compare"])
@@ -718,4 +772,6 @@ def test_main_ends_in_finite_json_or_one_error_line(doc, knots, argv):
         assert err.getvalue().startswith("error: "), err.getvalue()
         assert err.getvalue().count("\n") == 1, err.getvalue()
     else:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        # Every run that exits 0 passes its ledger check.
+        assert doc.get("ledger", {}).get("check_passed", True), doc

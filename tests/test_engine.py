@@ -1,6 +1,8 @@
 import math
 import sys
 import threading
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -773,6 +775,30 @@ def test_trace_decimation(config, udds):
     none, summary2, _ = run(config, udds, trace_every=0)
     assert len(none) == 0
     assert summary2 == summary  # summary unaffected by collection
+
+
+@pytest.mark.parametrize("trace_every", [0, 1, 7])
+def test_every_trace_column_is_its_own_array(config, udds, trace_every):
+    trace, _, _ = run(config, udds, max_time=60.0, trace_every=trace_every)
+    columns = [getattr(trace, f) for f in TRACE_FIELDS]
+    assert all(type(c) is array and c.typecode == "d" for c in columns)
+    assert len({id(c) for c in columns}) == len(TRACE_FIELDS)
+
+
+def test_trace_collection_peaks_below_300_bytes_per_kept_row(config, udds):
+    # One flat buffer, sliced into its columns at the end of the chunk: the
+    # buffer (about 128 B a row) and the columns (120 B) are all it holds.
+    run(config, udds, max_time=10.0)  # the config's invariants, hoisted
+    tracemalloc.start()
+    try:
+        trace, _, _ = run(
+            config, udds, repeat=True, max_time=5 * 1369.0, trace_every=1
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 5 * 13690
+    assert peak / len(trace) <= 300.0
 
 
 def test_torque_capped_to_zero_beyond_motor_ceiling(config):
