@@ -18,6 +18,7 @@ from .cycle import DriveCycle, cycle_stats, load_udds, parse_cycle, repeat
 from .engine import (
     TRACE_FIELDS,
     EnergyLedger,
+    LedgerCheck,
     SimSummary,
     SimTrace,
     ledger_check,
@@ -255,12 +256,16 @@ def _print_run(payload: dict, ledger: EnergyLedger) -> int:
     d["check_passed"] = check.passed
     d["residual_fraction"] = check.residual_fraction
     _print_json(payload)
+    _require_closed(check, "energy ledger")
+    return 0
+
+
+def _require_closed(check: LedgerCheck, ledger_name: str) -> None:
     if not check.passed:
         raise BevSimError(
-            f"energy ledger does not close: residual {check.residual_kwh:.6g} kWh, "
+            f"{ledger_name} does not close: residual {check.residual_kwh:.6g} kWh, "
             f"{100 * check.residual_fraction:.6g}% of battery output (limit 0.5%)"
         )
-    return 0
 
 
 _TRACE_ROW = ",".join(["%.6g"] * len(TRACE_FIELDS)) + "\n"
@@ -325,9 +330,7 @@ def cmd_range(args) -> int:
         ):
             if value:
                 raise ConfigError(f"--compare-regen conflicts with {flag}")
-        comparison = experiments.regen_comparison(
-            config, cycle, soc_floor=args.until_soc
-        )
+        comparison, ledgers = experiments._compare_legs(config, cycle, args.until_soc)
         _print_json(
             {
                 "schema_version": SCHEMA_VERSION,
@@ -341,6 +344,8 @@ def cmd_range(args) -> int:
                 "reference_gain_percents": list(comparison.reference_gain_percents),
             }
         )
+        for leg, ledger in zip(("regen-on", "regen-off"), ledgers):
+            _require_closed(ledger_check(ledger), f"the {leg} leg's energy ledger")
         return 0
     trace_every = args.every if (args.out or args.plot) else 0
     report, trace, _, ledger = experiments.range_test_detailed(

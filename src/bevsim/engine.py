@@ -275,6 +275,10 @@ def _whole_steps(duration_s: float, dt: float) -> int | None:
     """Step count of a duration when dt divides it (to 1e-6 of a step),
     else None."""
     q = duration_s / dt
+    if q == math.inf:
+        raise OverflowError(
+            f"step count overflowed (duration {duration_s:g} s, step {dt:g} s)"
+        )
     r = round(q)
     return int(r) if abs(q - r) < 1e-6 else None
 
@@ -283,6 +287,24 @@ def _steps_for(duration_s: float, dt: float) -> int:
     """Step count covering a duration; exact when dt divides it."""
     steps = _whole_steps(duration_s, dt)
     return int(math.ceil(duration_s / dt)) if steps is None else steps
+
+
+def _voltage_collapse(vterm: float, t: float) -> DegenerateVoltageError:
+    return DegenerateVoltageError(
+        f"terminal voltage {vterm:.3f} V below 1 V floor at t = {t:.1f} s"
+    )
+
+
+def _results(
+    end: SimState, ledger_j: tuple, dt: float, duration: float
+) -> tuple[int, EnergyLedger]:
+    """A kernel's end state and ledger sums [J] as results: the whole cycle
+    passes completed and the ledger in kWh. A terminal voltage that is not
+    >= 1 V raises ``DegenerateVoltageError``, as the next step would."""
+    if not end.terminal_voltage >= 1.0:
+        raise _voltage_collapse(end.terminal_voltage, end.t_s)
+    ledger = EnergyLedger(*(e / _J_PER_KWH for e in ledger_j))
+    return _cycles_completed(end.t_s, dt, duration), ledger
 
 
 def _cycles_completed(t: float, dt: float, duration: float) -> int:
@@ -324,7 +346,8 @@ def run(
             step.
         ValueError: If ``trace_every`` is negative, or ``stop_at_soc`` or
             ``max_time`` is not finite.
-        DegenerateVoltageError: If the terminal voltage collapses mid-run.
+        DegenerateVoltageError: If the terminal voltage collapses (below
+            1 V), the last step included.
     """
     kernel = _advance(
         config, cycle, initial_state(config), stop_at_soc, repeat, trace_every
@@ -355,6 +378,7 @@ def run(
     end, cols, ledger_j, max_err, _ = kernel.send(
         (step_limit, regen_enabled, pinned_command)
     )
+    cycles, ledger = _results(end, ledger_j, dt, duration)
     t, _, dist, _, soc, _, energy_out, energy_regen, _ = end
     # The kernel stops early only at the soc floor, which also outranks a
     # step limit reached on the same step.
@@ -380,10 +404,9 @@ def run(
         ),
         energy_out_kwh=energy_out,
         energy_regen_kwh=energy_regen,
-        cycles_completed=_cycles_completed(t, dt, duration),
+        cycles_completed=cycles,
         stop_reason=reason,
     )
-    ledger = EnergyLedger(*(e / _J_PER_KWH for e in ledger_j))
     return trace, summary, ledger
 
 
@@ -405,7 +428,6 @@ def _invariants(config: VehicleConfig) -> tuple[float, ...]:
     motor = config.motor
     bat = config.battery
     d = config.drivetrain
-    drv = config.driver
     # Hoisted scalars; expressions mirror the component ops bit-for-bit.
     m = body.mass
     rw = body.wheel_radius
@@ -418,7 +440,7 @@ def _invariants(config: VehicleConfig) -> tuple[float, ...]:
         d.transmission_efficiency, d.max_friction_brake_force,
         d.regen_efficiency, d.regen_cutoff_speed,
         motor.max_torque, motor.max_speed, motor.efficiency,
-        drv.kp, drv.ki, drv.command_min, drv.command_max,
+        config.driver.kp, config.driver.ki,
         vn, bat.internal_resistance, bat.coulombic_efficiency,
         motor_rpm_per_kmh(rw, gr),
         # Left-operand prefixes of the kernel's per-step expressions.
@@ -476,7 +498,7 @@ def _advance(
     """
     (
         dt, m, f0, f1, f4, rw, gr, eta_t, fric_max, eta_regen, cutoff,
-        tau_max, n_max, eta_m, kp, ki, cmd_lo, cmd_hi, vn, z, eta_c,
+        tau_max, n_max, eta_m, kp, ki, vn, z, eta_c,
         rpm_per_kmh, mg, cd_af, kw_rpm, charge_as, half_m, static_rr,
     ) = _invariants(config)
     tuple_new = tuple.__new__  # skips the named tuples' Python-level __new__
@@ -583,12 +605,12 @@ def _advance(
                 dv = target - v
                 candidate = integ + dv * dt
                 raw = kp * dv + ki * candidate
-                if raw > cmd_hi:
-                    cmd = cmd_hi
+                if raw > 1.0:
+                    cmd = 1.0
                     if dv <= 0.0:
                         integ = candidate
-                elif raw < cmd_lo:
-                    cmd = cmd_lo
+                elif raw < -1.0:
+                    cmd = -1.0
                     if dv >= 0.0:
                         integ = candidate
                 else:
@@ -679,9 +701,7 @@ def _advance(
                 p_elec = 0.0
                 p_batt = 0.0
             if vterm < 1.0:
-                raise DegenerateVoltageError(
-                    f"terminal voltage {vterm:.3f} V below 1 V floor at t = {t:.1f} s"
-                )
+                raise _voltage_collapse(vterm, t)
             current = 1000.0 * p_batt / vterm + 0.0
             d_soc = eta_c * current * dt / charge_as
             soc = soc - d_soc
@@ -726,10 +746,7 @@ def _advance(
             if lane:
                 if vterm_o < 1.0:
                     lane = False
-                    off_lane[:] = (DegenerateVoltageError(
-                        f"terminal voltage {vterm_o:.3f} V below 1 V floor "
-                        f"at t = {t:.1f} s"
-                    ),)
+                    off_lane[:] = (_voltage_collapse(vterm_o, t),)
                 elif tau_p > 0.0:
                     cur_o = 1000.0 * p_batt / vterm_o + 0.0
                     if cur_o == current and cur_o > 0.0:

@@ -38,12 +38,11 @@ from typing import NamedTuple
 from .cycle import DriveCycle
 from .dynamics import aero_drag, rolling_resistance
 from .engine import (
-    _J_PER_KWH,
     EnergyLedger,
     SimSummary,
     SimTrace,
     _advance,
-    _cycles_completed,
+    _results,
     _steps_for,
     initial_state,
     run,
@@ -218,18 +217,33 @@ def _regen_lanes(
     end, _, ledger_j, max_err, _ = kernel.send(
         (_steps_for(config.sim.max_sim_time, dt), True, None)
     )
-    (lane,) = off_lane
-    if isinstance(lane, Exception):
-        raise lane
+    soc0 = config.battery.initial_soc
     legs = []
-    for regen, (end, ledger_j, _) in ((True, (end, ledger_j, max_err)), (False, lane)):
-        t, _, dist, _, soc, _, energy_out, energy_regen, _ = end
-        report = RangeReport(
-            dist, _cycles_completed(t, dt, cycle.duration_s),
-            config.battery.initial_soc, soc, energy_out, energy_regen, regen,
-        )
-        legs.append((report, EnergyLedger(*(e / _J_PER_KWH for e in ledger_j))))
+    for regen, lane in ((True, (end, ledger_j, max_err)), (False, off_lane[0])):
+        if isinstance(lane, Exception):
+            raise lane
+        end, ledger_j, _ = lane
+        cycles, ledger = _results(end, ledger_j, dt, cycle.duration_s)
+        _, _, dist, _, soc, _, out, regen_kwh, _ = end
+        report = RangeReport(dist, cycles, soc0, soc, out, regen_kwh, regen)
+        legs.append((report, ledger))
     return legs[0], legs[1]
+
+
+def _compare_legs(
+    config: VehicleConfig, cycle: DriveCycle, soc_floor: float | None
+) -> tuple[RegenComparisonReport, tuple[EnergyLedger, EnergyLedger]]:
+    """``regen_comparison``'s report with the two legs' ledgers (regen on,
+    then off), from the one pass of ``_regen_lanes``."""
+    (on, on_ledger), (off, off_ledger) = _regen_lanes(config, cycle, soc_floor)
+    if off.distance_km == 0.0:
+        raise ValueError(
+            f"the regen-off leg covered no distance (soc_end {off.soc_end:g}), "
+            "so the range gain is undefined"
+        )
+    gain = on.distance_km / off.distance_km - 1.0
+    report = RegenComparisonReport(regen_on=on, regen_off=off, gain_fraction=gain)
+    return report, (on_ledger, off_ledger)
 
 
 def regen_comparison(
@@ -251,14 +265,7 @@ def regen_comparison(
         ValueError: If the regen-off leg covers no distance, which leaves
             the gain undefined.
     """
-    (on, _), (off, _) = _regen_lanes(config, cycle, soc_floor)
-    if off.distance_km == 0.0:
-        raise ValueError(
-            f"the regen-off leg covered no distance (soc_end {off.soc_end:g}), "
-            "so the range gain is undefined"
-        )
-    gain = on.distance_km / off.distance_km - 1.0
-    return RegenComparisonReport(regen_on=on, regen_off=off, gain_fraction=gain)
+    return _compare_legs(config, cycle, soc_floor)[0]
 
 
 def accel_test(config: VehicleConfig, target_kmh: float = 100.0) -> AccelReport:
@@ -381,9 +388,13 @@ def _net_force(
         else:
             tau = mtr.max_torque
         x = v / 100.0
-        return tau * force_per_nm - mg * (b.f0 + b.f1 * x + b.f4 * x**4) - (
-            cd_af * v * v / 21.15
-        )
+        try:
+            rr = mg * (b.f0 + b.f1 * x + b.f4 * x**4)
+        except OverflowError:  # only x**4 raises; the rest turn inf
+            raise OverflowError(
+                f"rolling resistance overflowed (speed {v:g} km/h)"
+            ) from None
+        return tau * force_per_nm - rr - cd_af * v * v / 21.15
 
     return net_force, v_cap, kw_rpm / mtr.max_torque / rpm_per
 

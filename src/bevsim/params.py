@@ -43,14 +43,11 @@ class VehicleBodyParams(NamedTuple):
 
 
 class MotorParams(NamedTuple):
-    """Traction motor ratings.
+    """Traction motor peak envelope and efficiency.
 
     Args:
-        rated_torque: Continuous torque rating [N*m].
         max_torque: Peak torque below base speed [N*m].
-        rated_power: Continuous power rating [kW].
         max_power: Peak power in the constant-power region [kW].
-        rated_speed: Rated shaft speed [rpm].
         max_speed: Maximum shaft speed [rpm].
         efficiency: Electromechanical conversion efficiency in (0, 1],
             applied as a constant in both torque directions (no map). The
@@ -59,11 +56,8 @@ class MotorParams(NamedTuple):
             much braking energy survives the round trip to the battery.
     """
 
-    rated_torque: float = 95.5
     max_torque: float = 230.0
-    rated_power: float = 30.0
     max_power: float = 75.0
-    rated_speed: float = 3000.0
     max_speed: float = 8000.0
     efficiency: float = 0.95
 
@@ -119,19 +113,15 @@ class DrivetrainParams(NamedTuple):
 
 
 class DriverParams(NamedTuple):
-    """Speed-tracking PI controller gains.
+    """Speed-tracking PI controller gains; the command is clamped to [-1, 1].
 
     Args:
         kp: Proportional gain [command per km/h of speed error].
         ki: Integral gain [command per km/h*s of accumulated error].
-        command_min: Lower command bound; fixed at -1.
-        command_max: Upper command bound; fixed at +1.
     """
 
     kp: float = 1.2
     ki: float = 0.35
-    command_min: float = -1.0
-    command_max: float = 1.0
 
 
 class SimParams(NamedTuple):
@@ -244,34 +234,11 @@ def validate(config: VehicleConfig) -> list[str]:
     _positive(v, "body.gravity", b.gravity)
 
     m = config.motor
-    _positive(v, "motor.rated_torque", m.rated_torque)
-    _positive(v, "motor.rated_power", m.rated_power)
-    _positive(v, "motor.rated_speed", m.rated_speed)
-    if m.rated_torque > m.max_torque:
-        v.append(
-            f"motor.rated_torque: must satisfy rated_torque <= max_torque "
-            f"(got {m.rated_torque} > {m.max_torque})"
-        )
-    if m.rated_power > m.max_power:
-        v.append(
-            f"motor.rated_power: must satisfy rated_power <= max_power "
-            f"(got {m.rated_power} > {m.max_power})"
-        )
-    if m.rated_speed > m.max_speed:
-        v.append(
-            f"motor.rated_speed: must satisfy rated_speed <= max_speed "
-            f"(got {m.rated_speed} > {m.max_speed})"
-        )
+    _positive(v, "motor.max_torque", m.max_torque)
+    _positive(v, "motor.max_power", m.max_power)
+    _positive(v, "motor.max_speed", m.max_speed)
     if not 0.0 < m.efficiency <= 1.0:
         v.append(f"motor.efficiency: must be in (0, 1] (got {m.efficiency})")
-    if m.rated_torque > 0 and m.rated_speed > 0 and m.rated_power > 0:
-        implied = m.rated_torque * m.rated_speed / RPM_KW_CONSTANT
-        if abs(implied - m.rated_power) > 0.01 * m.rated_power:
-            v.append(
-                "motor.rated_power: rated_torque * rated_speed / 9550 "
-                f"= {implied:.4g} kW disagrees with rated_power "
-                f"{m.rated_power} kW by more than 1%"
-            )
 
     bat = config.battery
     _positive(v, "battery.capacity_energy", bat.capacity_energy)
@@ -312,10 +279,6 @@ def validate(config: VehicleConfig) -> list[str]:
     drv = config.driver
     _non_negative(v, "driver.kp", drv.kp)
     _non_negative(v, "driver.ki", drv.ki)
-    if drv.command_min != -1.0:
-        v.append(f"driver.command_min: must be -1 (got {drv.command_min})")
-    if drv.command_max != 1.0:
-        v.append(f"driver.command_max: must be +1 (got {drv.command_max})")
 
     s = config.sim
     if not 0.0 < s.dt <= 1.0:

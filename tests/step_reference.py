@@ -133,7 +133,7 @@ def pi_step(
     """Advance the PI controller one step; returns (command, new state).
 
     The command is kp*dv + ki*integral with the integral tentatively
-    advanced by dv*dt, clamped to [command_min, command_max]. Anti-windup is
+    advanced by dv*dt, clamped to [-1, 1]. Anti-windup is
     conditional integration: the tentative advance is kept only when the
     output is unsaturated or the error drives it out of saturation, so the
     integral stays bounded under persistent saturation.
@@ -143,11 +143,11 @@ def pi_step(
     dv = target_kmh - actual_kmh
     candidate = state.integral + dv * dt
     raw = params.kp * dv + params.ki * candidate
-    if raw > params.command_max:
-        command = params.command_max
+    if raw > 1.0:
+        command = 1.0
         integral = state.integral if dv > 0.0 else candidate
-    elif raw < params.command_min:
-        command = params.command_min
+    elif raw < -1.0:
+        command = -1.0
         integral = state.integral if dv < 0.0 else candidate
     else:
         command = raw

@@ -202,6 +202,29 @@ def test_validate_rejects_invalid_config(tmp_path, capsys):
     assert "mass" in capsys.readouterr().err
 
 
+def test_lowering_the_peak_torque_alone_is_a_valid_config(tmp_path, capsys):
+    # The motor enters only through its peak envelope: no rated point has to
+    # stay below it.
+    path = tmp_path / "vehicle.json"
+    path.write_text('{"motor": {"max_torque": 80}}')
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ledger"]["check_passed"] is True
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("motor", "rated_torque"), ("motor", "rated_power"), ("motor", "rated_speed"),
+     ("driver", "command_min"), ("driver", "command_max")],
+)
+def test_removed_config_keys_exit_one(tmp_path, capsys, section, key):
+    path = tmp_path / "vehicle.json"
+    path.write_text(json.dumps({section: {key: 1.0}}))
+    code = main(["simulate", "--config", str(path)])
+    _assert_one_line_error(
+        capsys, code, f"unknown key(s) in section '{section}': {key}"
+    )
+
+
 def _assert_one_line_error(capsys, code, expected, exit_code=1):
     out, err = capsys.readouterr()
     assert code == exit_code
@@ -289,16 +312,33 @@ def test_out_of_range_float_flag_exits_one(small_config_path, capsys, argv, expe
             ["simulate"], {"body": {"mass": 1e-300}},
             "rolling resistance overflowed at t = ",
         ),
-        (["topspeed"], {"drivetrain": {"gear_ratio": 1e-300}}, ""),
+        (
+            ["topspeed"], {"drivetrain": {"gear_ratio": 1e-300}},
+            "rolling resistance overflowed (speed 8.56524e+302 km/h)",
+        ),
+        (
+            ["accel"], {"motor": {"max_speed": 1e300}},
+            "rolling resistance overflowed (speed 2.23053e+298 km/h)",
+        ),
+        (
+            ["topspeed"], {"motor": {"max_speed": 1e300}},
+            "rolling resistance overflowed (speed 2.23053e+298 km/h)",
+        ),
         (["simulate"], {"body": {"mass": 1e-10}}, ""),
         (
             ["range", "--until-soc", "0.85"],
             {"body": {"wheel_radius": 5e-324}, "sim": {"dt": 1.0}}, "",
         ),
         (["topspeed"], {"drivetrain": {"gear_ratio": 5e-324}}, ""),
+        # The soc floor stops the run on the very step its voltage collapses.
+        (
+            ["range", "--until-soc", "0.85"], {"motor": {"efficiency": 5e-324}},
+            "terminal voltage -inf V below 1 V floor at t = 20.3 s",
+        ),
     ],
-    ids=["kernel-overflow", "oracle-overflow", "infinite-residual",
-         "nan-report", "infinite-speed-ceiling"],
+    ids=["kernel-overflow", "oracle-overflow", "accel-oracle-overflow",
+         "topspeed-oracle-overflow", "infinite-residual", "nan-report",
+         "infinite-speed-ceiling", "collapsed-voltage-at-floor"],
 )
 def test_overflowing_or_non_finite_result_exits_two(
     tmp_path, capsys, argv, doc, expected
@@ -328,6 +368,29 @@ def test_step_count_that_overflows_exits_one(tmp_path, capsys, argv, doc):
     )
 
 
+# duration / dt overflows to an infinite step count: a runtime error naming
+# the duration and the step, from a flag or from a single-pass cycle.
+@pytest.mark.parametrize(
+    "argv, knots",
+    [
+        (["topspeed", "--duration", "1e300", "--dt", "1e-10"], None),
+        (["simulate", "--dt", "1e-10"], "0,0\n1e300,5\n"),
+    ],
+    ids=["topspeed-duration", "single-pass-cycle"],
+)
+def test_step_count_of_a_duration_that_overflows_exits_two(
+    tmp_path, capsys, argv, knots
+):
+    if knots is not None:
+        path = tmp_path / "cycle.csv"
+        path.write_text("t_s,v_kmh\n" + knots)
+        argv = argv + ["--cycle", str(path)]
+    _assert_one_line_error(
+        capsys, main(argv),
+        "step count overflowed (duration 1e+300 s, step 1e-10 s)", exit_code=2,
+    )
+
+
 # A drag coefficient of 9.3e6 at dt 1 s leaves a residual of about 7000
 # times the battery output: the JSON still prints, then the run exits 2.
 @pytest.mark.parametrize(
@@ -341,6 +404,21 @@ def test_ledger_that_does_not_close_exits_two(tmp_path, capsys, argv):
     assert code == 2
     assert json.loads(out)["ledger"]["check_passed"] is False
     assert err.startswith("error: energy ledger does not close: ")
+    assert err.count("\n") == 1, err
+
+
+def test_compare_regen_ledger_that_does_not_close_exits_two(tmp_path, capsys):
+    # Both reports still print, then the first leg whose ledger fails is named.
+    path = tmp_path / "vehicle.json"
+    path.write_text('{"body": {"drag_coefficient": 9.3e6}}')
+    code = main(
+        ["range", "--compare-regen", "--dt", "1", "--until-soc", "0.85",
+         "--config", str(path)]
+    )
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert set(json.loads(out)["reports"]) == {"regen_on", "regen_off"}
+    assert err.startswith("error: the regen-on leg's energy ledger does not close: ")
     assert err.count("\n") == 1, err
 
 
@@ -695,10 +773,12 @@ _FUZZED_FIELDS = {
         "capacity_energy", "nominal_voltage", "internal_resistance",
         "coulombic_efficiency", "initial_soc", "soc_floor",
     ),
+    "motor": ("max_torque", "max_power", "max_speed", "efficiency"),
     "drivetrain": (
         "gear_ratio", "transmission_efficiency", "max_friction_brake_force",
         "regen_efficiency", "regen_cutoff_speed",
     ),
+    "driver": ("kp", "ki"),
 }
 _CONFIG_DOCS = st.fixed_dictionaries(
     {

@@ -166,7 +166,7 @@ def test_stop_clamp_sheds_friction_before_regen(config):
         config,
         sim={"dt": 0.5},
         body={"mass": 900.0},
-        motor={"max_torque": 120.0, "rated_torque": 60.0, "rated_power": 18.85},
+        motor={"max_torque": 120.0},
         drivetrain={"regen_cutoff_speed": 0.5},
     )
     state = initial_state(cfg)._replace(speed_kmh=6.0)

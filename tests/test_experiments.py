@@ -84,12 +84,14 @@ def test_top_speed_monotone_in_power_and_drag(config):
 
 def _random_config(rng: random.Random):
     while True:
-        rated_speed = rng.uniform(2200.0, 5000.0)
-        max_speed = rated_speed * rng.uniform(2.0, 2.8)
+        # The peaks are drawn as multiples of a consistent continuous rating
+        # (speed, power, torque), which the model itself does not read.
+        base_speed = rng.uniform(2200.0, 5000.0)
+        max_speed = base_speed * rng.uniform(2.0, 2.8)
         max_power = rng.uniform(50.0, 150.0)
-        rated_power = max_power / rng.uniform(2.0, 3.0)
-        rated_torque = RPM_KW_CONSTANT * rated_power / rated_speed
-        max_torque = rated_torque * rng.uniform(1.6, 2.5)
+        base_power = max_power / rng.uniform(2.0, 3.0)
+        base_torque = RPM_KW_CONSTANT * base_power / base_speed
+        max_torque = base_torque * rng.uniform(1.6, 2.5)
         cfg = with_overrides(
             default_config(),
             body={
@@ -100,11 +102,8 @@ def _random_config(rng: random.Random):
                 "wheel_radius": rng.uniform(0.26, 0.34),
             },
             motor={
-                "rated_speed": rated_speed,
                 "max_speed": max_speed,
-                "rated_power": rated_power,
                 "max_power": max_power,
-                "rated_torque": rated_torque,
                 "max_torque": max_torque,
             },
             drivetrain={
@@ -539,7 +538,9 @@ def test_regen_lanes_cut_by_max_sim_time(small_battery_config, udds):
 # full-throttle step follows a regen step, which left the regen-on lane's
 # terminal voltage above the regen-off lane's. With a large internal
 # resistance the voltage collapses, in whichever leg and at whichever step
-# each resistance gives.
+# each resistance gives. The ids name the legs whose next step finds the
+# collapse; a leg that its floor stops on the collapsing step raises too
+# (1.16 off, 1.58 on), since its end state is no result.
 _DIP = DriveCycle(
     "dip", (0.0, 150.0, 180.0, 184.0, 184.1, 210.0),
     (0.0, 50.0, 50.0, 35.0, 130.0, 130.0),
@@ -550,9 +551,9 @@ _DIP = DriveCycle(
     "resistance, collapse_times",
     [
         pytest.param(0.5, ("187.8", "187.8"), id="both-at-one-step"),
-        pytest.param(1.16, ("184.5", None), id="on-only-off-stops-at-floor"),
+        pytest.param(1.16, ("184.5", "184.5"), id="on-only-off-stops-at-floor"),
         pytest.param(1.17, ("184.5", "184.4"), id="off-first-then-on"),
-        pytest.param(1.58, (None, "184.3"), id="off-only"),
+        pytest.param(1.58, ("184.4", "184.3"), id="off-only"),
     ],
 )
 def test_regen_lanes_raise_the_serial_legs_voltage_collapse(resistance, collapse_times):
@@ -574,6 +575,17 @@ def test_regen_lanes_raise_the_serial_legs_voltage_collapse(resistance, collapse
     with pytest.raises(DegenerateVoltageError) as exc:
         _regen_lanes(cfg, _DIP)
     assert str(exc.value) == (errors[0] or errors[1])
+
+
+def test_depletion_stopping_on_its_voltage_collapse_raises(udds):
+    # A vanishing motor efficiency draws an infinite current on the first
+    # motoring step: the soc clamps to 0 and the floor stops the run on the
+    # step whose voltage collapsed, so no next step would raise.
+    cfg = with_overrides(default_config(), motor={"efficiency": 5e-324})
+    with pytest.raises(DegenerateVoltageError, match="-inf V below 1 V floor"):
+        range_test_detailed(cfg, udds, soc_floor=0.85)
+    with pytest.raises(DegenerateVoltageError, match="-inf V below 1 V floor"):
+        _regen_lanes(cfg, udds, 0.85)
 
 
 def test_regen_comparison_ignores_parallel(small_battery_config, udds):

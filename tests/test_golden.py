@@ -7,6 +7,10 @@ tracking SVG of ``simulate --out --plot`` are checked by SHA-256, since
 the CSV alone is 1.4 MB. A change to any of these bytes must be deliberate,
 and is re-recorded here with its reason.
 
+Re-recorded: ``config.json`` lost the motor's rated point (``rated_torque``,
+``rated_power``, ``rated_speed``) and the driver's ``command_min`` and
+``command_max``, which no step read; the command is clamped to [-1, 1].
+
 One number is held to its value rather than its bytes: accel's
 ``oracle_time_s`` is a Simpson sum taken with the built-in ``sum()``, which
 adds floats with compensated summation from Python 3.12 on, so its last

@@ -22,11 +22,8 @@ def test_defaults_carry_published_vehicle_values(config):
     assert config.body.drag_coefficient == 0.42
     assert config.body.f0 == 0.021
     assert config.body.f1 == 0.0 and config.body.f4 == 0.0
-    assert config.motor.rated_torque == 95.5
     assert config.motor.max_torque == 230.0
-    assert config.motor.rated_power == 30.0
     assert config.motor.max_power == 75.0
-    assert config.motor.rated_speed == 3000.0
     assert config.motor.max_speed == 8000.0
     assert config.battery.capacity_energy == 216.0
     assert config.battery.initial_soc == 0.9
@@ -42,12 +39,12 @@ def test_default_config_is_valid(config):
 def test_parse_full_document():
     doc = {
         "body": {"mass": 1549, "drag_coefficient": 0.42},
-        "motor": {"rated_power": 30},
+        "motor": {"max_power": 30},
     }
     cfg = parse_config(json.dumps(doc))
     assert cfg.body.mass == 1549.0
     assert cfg.body.drag_coefficient == 0.42
-    assert cfg.motor.rated_power == 30.0
+    assert cfg.motor.max_power == 30.0
 
 
 def test_parse_empty_document_gives_defaults():
@@ -117,10 +114,15 @@ def test_parse_rejects_malformed_json():
         parse_config("{not json")
 
 
-def test_validate_reports_torque_ordering(config):
-    bad = with_overrides(config, motor={"rated_torque": 300.0})
-    violations = validate(bad)
-    assert any("rated_torque" in v and "max_torque" in v for v in violations)
+def test_validate_requires_a_positive_motor_envelope(config):
+    bad = with_overrides(
+        config, motor={"max_torque": 0.0, "max_power": -1.0, "max_speed": 0.0}
+    )
+    assert validate(bad) == [
+        "motor.max_torque: must be > 0 (got 0.0)",
+        "motor.max_power: must be > 0 (got -1.0)",
+        "motor.max_speed: must be > 0 (got 0.0)",
+    ]
 
 
 def test_validate_reports_soc_ordering(config):
@@ -131,13 +133,6 @@ def test_validate_reports_soc_ordering(config):
     assert any("soc_floor" in v and "initial_soc" in v for v in violations)
 
 
-def test_validate_reports_rated_point_inconsistency(config):
-    # 100 N*m at 3000 rpm is 31.4 kW, far from a 30 kW rating.
-    bad = with_overrides(config, motor={"rated_torque": 100.0})
-    violations = validate(bad)
-    assert any("9550" in v for v in violations)
-
-
 def test_validate_collects_every_violation(config):
     bad = with_overrides(
         config,
@@ -146,11 +141,6 @@ def test_validate_collects_every_violation(config):
     )
     violations = validate(bad)
     assert len(violations) >= 3
-
-
-def test_validate_pins_command_bounds(config):
-    bad = with_overrides(config, driver={"command_min": -0.5})
-    assert any("command_min" in v for v in validate(bad))
 
 
 def test_serialize_round_trip(config):
