@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--no-regen", action="store_true",
-        help="disable battery charging from regenerative braking",
+        help="disable battery charging from regenerative braking (--regen-eff 0)",
     )
     common.add_argument(
         "--regen-eff", type=float, metavar="F",
@@ -167,8 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> VehicleConfig:
     """The subcommand's config: the file or the defaults, with the flag
     overrides applied and validated, and every numeric flag checked."""
-    if getattr(args, "no_regen", False) and getattr(args, "regen_eff", None) is not None:
-        raise ConfigError("--no-regen conflicts with --regen-eff")
+    regen_eff = getattr(args, "regen_eff", None)
+    if getattr(args, "no_regen", False):
+        if regen_eff is not None:
+            raise ConfigError("--no-regen conflicts with --regen-eff")
+        regen_eff = 0.0  # --no-regen spells --regen-eff 0
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -181,8 +184,8 @@ def _load_config(args) -> VehicleConfig:
     overrides = {}
     if getattr(args, "dt", None) is not None:
         overrides["sim"] = {"dt": args.dt}
-    if getattr(args, "regen_eff", None) is not None:
-        overrides["drivetrain"] = {"regen_efficiency": args.regen_eff}
+    if regen_eff is not None:
+        overrides["drivetrain"] = {"regen_efficiency": regen_eff}
     if overrides:
         config = with_overrides(config, **overrides)
         violations = validate(config)
@@ -295,9 +298,7 @@ def cmd_simulate(args) -> int:
     if args.repeat > 1:
         cycle = repeat(cycle, args.repeat)
     trace_every = args.every if (args.out or args.plot) else 0
-    trace, summary, ledger = run(
-        config, cycle, regen_enabled=not args.no_regen, trace_every=trace_every
-    )
+    trace, summary, ledger = run(config, cycle, trace_every=trace_every)
     if args.out:
         emit_trace(trace, args.out)
     if args.plot:
@@ -349,11 +350,7 @@ def cmd_range(args) -> int:
         return 0
     trace_every = args.every if (args.out or args.plot) else 0
     report, trace, _, ledger = experiments.range_test_detailed(
-        config,
-        cycle,
-        regen_enabled=not args.no_regen,
-        soc_floor=args.until_soc,
-        trace_every=trace_every,
+        config, cycle, soc_floor=args.until_soc, trace_every=trace_every
     )
     if args.out:
         emit_trace(trace, args.out)

@@ -16,16 +16,16 @@ Engine-level rules on top of the per-step formulas:
   friction force (first) and regen torque (second) are scaled down so the
   step ends exactly at rest; regenerated energy reflects the force actually
   applied.
-* ``regen_enabled=False`` disables the battery-charging path only: the
-  motor still provides the same braking torque, but the recovered energy is
-  discarded (counted as drivetrain loss). This keeps the mechanical
-  trajectory identical between regen-on and regen-off runs, so range
-  comparisons isolate energy recovery; it also makes regen-off exactly
-  equivalent to regen_efficiency = 0. Nothing mechanical reads the battery,
-  so the kernel can carry a second, regen-off battery lane over the one
-  trajectory: the regen comparison runs both legs as one pass, with the
-  driver, split, road loads, integration, cycle lookup, tracking error and
-  mechanical ledger terms computed once per step.
+* Regen off is ``regen_efficiency = 0``, and it disables the
+  battery-charging path only: the motor still provides the same braking
+  torque, but the recovered energy is discarded (counted as drivetrain
+  loss). This keeps the mechanical trajectory identical between regen-on
+  and regen-off runs, so range comparisons isolate energy recovery.
+  Nothing mechanical reads the battery, so the kernel can carry a second,
+  zero-efficiency battery lane over the one trajectory: the regen
+  comparison runs both legs as one pass, with the driver, split, road
+  loads, integration, cycle lookup, tracking error and mechanical ledger
+  terms computed once per step.
 * Beyond the motor speed ceiling the commanded torque is capped to zero
   rather than raising mid-run.
 
@@ -38,10 +38,10 @@ whose suspended frame is the carry, and it has one contract. Creating it
 fixes what holds for its life (config, cycle, start ``SimState``, soc
 floor, repeat, trace stride); ``next()`` primes it, validating the config
 and yielding at once with no step run; every chunk of steps then arrives
-by ``send((n, regen_enabled, pinned_command))``, which yields the end
-``SimState``. What it accumulates (ledger sums, tracking-error maximum,
-cycle cursor, step index) stays in the frame between chunks, so a resumed
-kernel gives the bits of one unsplit call. ``run`` sends one chunk for a
+by ``send((n, pinned_command))``, which yields the end ``SimState``. What
+it accumulates (ledger sums, tracking-error maximum, cycle cursor, step
+index) stays in the frame between chunks, so a resumed kernel gives the
+bits of one unsplit call. ``run`` sends one chunk for a
 whole run, from ``initial_state(config)``; the experiments' acceleration
 and top-speed scenarios send chunks at full throttle until they have what
 their reports need. ``step`` sends one-step chunks with no trace
@@ -220,7 +220,7 @@ def step(
     state: SimState,
     cycle: DriveCycle,
     config: VehicleConfig,
-    regen_enabled: bool = True,
+    *,
     pinned_command: float | None = None,
 ) -> tuple[SimState, TraceRecord]:
     """Advance one fixed step; returns the new state and its trace record.
@@ -232,7 +232,8 @@ def step(
     during the step. Handing back the returned state, with the same cycle
     and config objects, resumes the kernel where it stopped instead of
     starting a new one; the bits are the same either way, and any other
-    state (an equal copy too) starts afresh.
+    state (an equal copy too) starts afresh. Regen is the config's
+    efficiency, so switching it off is a config swap, which starts afresh.
 
     Raises:
         ValueError: If ``state.t_s`` is negative, ``config.sim.dt`` is not
@@ -265,7 +266,7 @@ def step(
             raise ValueError(f"state floats must be finite (got {state})")
         kernel = _advance(config, cycle, state, None, False, 0)
         next(kernel)
-    end, _, _, _, last = kernel.send((1, regen_enabled, pinned_command))
+    end, _, _, _, last = kernel.send((1, pinned_command))
     # Put back only after the kernel stepped: one that raised is dropped.
     _resumable[:] = ((kernel, end, cycle, config),)
     return end, last
@@ -324,31 +325,35 @@ def run(
     *,
     regen_enabled: bool = True,
     stop_at_soc: float | None = None,
-    max_time: float | None = None,
     repeat: bool = False,
     pinned_command: float | None = None,
     trace_every: int = 1,
 ) -> tuple[SimTrace, SimSummary, EnergyLedger]:
     """Run the closed loop from ``initial_state`` until a stop condition.
 
-    Stop priority: soc floor, then max time, then cycle end. With
-    ``repeat=True`` the cycle wraps around until the soc floor or time
-    limit. sim.max_sim_time bounds every run: a repeated or soc-floor run,
-    and a single pass whose cycle is longer. ``max_time`` only shortens a
-    run below that bound; a cycle ending on the bound's last step reports
-    its cycle end, one ending on ``max_time``'s last step its max time.
-    ``trace_every`` keeps every Nth record (0 disables collection; the
-    ledger and summary always run at full rate).
+    With ``repeat=True`` the cycle wraps around until the soc floor or
+    time limit. sim.max_sim_time bounds every run: a repeated or soc-floor
+    run, and a single pass whose cycle is longer. Stop priority on one
+    step: soc floor, then cycle end, then max time. ``trace_every`` keeps
+    every Nth record (0 disables collection; the ledger and summary always
+    run at full rate). ``regen_enabled=False`` runs the config with
+    regen_efficiency 0; ROADMAP item 1 can drop the keyword with its
+    benchmark callers.
 
     Raises:
         ConfigError: If the config fails validation.
         CycleError: If ``repeat`` is set and the cycle is shorter than one
             step.
-        ValueError: If ``trace_every`` is negative, or ``stop_at_soc`` or
-            ``max_time`` is not finite.
+        ValueError: If ``trace_every`` is negative or ``stop_at_soc`` is
+            not finite.
         DegenerateVoltageError: If the terminal voltage collapses (below
             1 V), the last step included.
     """
+    if not regen_enabled:
+        _invariants(config)  # the caller's config, validated first
+        config = config._replace(
+            drivetrain=config.drivetrain._replace(regen_efficiency=0.0)
+        )
     kernel = _advance(
         config, cycle, initial_state(config), stop_at_soc, repeat, trace_every
     )
@@ -357,8 +362,6 @@ def run(
         raise ValueError(f"trace_every must be >= 0 (got {trace_every})")
     if stop_at_soc is not None and not math.isfinite(stop_at_soc):
         raise ValueError(f"stop_at_soc must be finite (got {stop_at_soc})")
-    if max_time is not None and not math.isfinite(max_time):
-        raise ValueError(f"max_time must be finite (got {max_time})")
 
     bat = config.battery
     dt = config.sim.dt
@@ -366,17 +369,8 @@ def run(
 
     cycle_steps = math.inf if repeat else _steps_for(duration, dt)
     time_steps = _steps_for(config.sim.max_sim_time, dt)
-    time_limited = time_steps < cycle_steps
-    if max_time is not None:
-        asked = _steps_for(max_time, dt)
-        if asked <= time_steps:
-            # max_time outranks a cycle end on the same step.
-            time_steps = asked
-            time_limited = asked <= cycle_steps
-    step_limit = min(cycle_steps, time_steps)
-
     end, cols, ledger_j, max_err, _ = kernel.send(
-        (step_limit, regen_enabled, pinned_command)
+        (min(cycle_steps, time_steps), pinned_command)
     )
     cycles, ledger = _results(end, ledger_j, dt, duration)
     t, _, dist, _, soc, _, energy_out, energy_regen, _ = end
@@ -384,7 +378,7 @@ def run(
     # step limit reached on the same step.
     if stop_at_soc is not None and soc <= stop_at_soc:
         reason = StopReason.SOC_FLOOR
-    elif time_limited:
+    elif time_steps < cycle_steps:
         reason = StopReason.MAX_TIME
     else:
         reason = StopReason.CYCLE_END
@@ -465,10 +459,10 @@ def _advance(
 
     ``next()`` primes it: the config is validated (else ``ConfigError``), a
     repeated cycle shorter than one step is refused (``CycleError``), and
-    it yields at once with no step run. Each
-    ``send((n, regen_enabled, pinned_command))`` then runs n more steps
-    under those options, or fewer once the soc reaches ``stop_at_soc``,
-    and yields ``(end, cols, ledger_j, max_err, last)``: the end
+    it yields at once with no step run. Each ``send((n, pinned_command))``
+    then runs n more steps under that command (None: the PI driver's), or
+    fewer once the soc reaches ``stop_at_soc``, and yields
+    ``(end, cols, ledger_j, max_err, last)``: the end
     ``SimState``; one ``array('d')`` per TRACE_FIELDS column holding this
     chunk's records whose step index (counted from ``start``) is a
     multiple of ``trace_every``, each a strided slice of the one flat
@@ -485,9 +479,9 @@ def _advance(
     the cycle, but a repeating run must start within its first pass; a step
     that clamps the soc sets the flag.
 
-    A list ``off_lane`` adds a regen-off battery lane that starts from
-    ``start`` and rides on the one trajectory (see the module notes): it
-    keeps only its own current, soc, voltage, energy totals and
+    A list ``off_lane`` adds a zero-efficiency battery lane that starts
+    from ``start`` and rides on the one trajectory (see the module notes):
+    it keeps only its own current, soc, voltage, energy totals and
     battery-side ledger terms. A regen step leaves the main lane's voltage
     higher and its later currents no larger, so the lane reaches
     ``stop_at_soc`` no later than the main lane; it stops after that step.
@@ -522,8 +516,8 @@ def _advance(
 
     floor = -math.inf if stop_at_soc is None else stop_at_soc  # -inf: no floor
 
-    # The regen-off lane's battery state and ledger terms; lane_limit holds
-    # the step limit while the lane's floor stop borrows it.
+    # The zero-efficiency lane's battery state and ledger terms; lane_limit
+    # holds the step limit while the lane's floor stop borrows it.
     lane = off_lane is not None
     lane_limit = None
     soc_o, vterm_o, out_o, regen_o, sat_o = soc, vterm, cum_out, cum_regen, saturated
@@ -585,7 +579,7 @@ def _advance(
                 if collect:
                     cols = [rows[i::width] for i in range(width)]
                     del rows[:]
-                n, regen_enabled, pinned_command = yield (
+                n, pinned_command = yield (
                     tuple_new(SimState, (
                         t, v, dist, integ, soc, vterm, cum_out, cum_regen, saturated
                     )),
@@ -695,7 +689,7 @@ def _advance(
             elif tau_r > 0.0:
                 tau_signed = -tau_r
                 p_elec = tau_signed * rpm / RPM_KW_CONSTANT * eta_m
-                p_batt = (p_elec * eta_regen if regen_enabled else 0.0) + 0.0
+                p_batt = p_elec * eta_regen + 0.0
             else:
                 tau_signed = 0.0
                 p_elec = 0.0
@@ -738,7 +732,7 @@ def _advance(
             e_fric += f_fric * s_mid
             e_kin += half_m * (v2_ms * v2_ms - v_ms * v_ms)
 
-            # --- regen-off lane: its battery and battery-side ledger terms ---
+            # --- zero-efficiency lane: its battery and battery-side ledger ---
             # It draws only when motoring, so its soc only falls and its regen
             # totals stay put. Adding or skipping a zero term gives the same
             # bits, so a step that draws nothing only resets the voltage and

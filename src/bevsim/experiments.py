@@ -8,8 +8,8 @@ acceleration), so wiring bugs cannot cancel out, and neither oracle shares
 the engine's fixed-step time integration.
 
 The regen comparison runs both depletion legs as one kernel pass in this
-process, a regen-off battery lane beside the regen-on one, since both
-follow one trajectory. It accepts and ignores ``parallel``, which
+process, a zero-efficiency battery lane beside the regen-on one, since
+both follow one trajectory. It accepts and ignores ``parallel``, which
 ``perfbench/workloads.py`` passes. ``perfbench/tracer.py`` swaps the
 ``ProcessPoolExecutor`` name, so the module still resolves it, but only
 on first access (see ``__getattr__``): importing the package never loads
@@ -85,7 +85,7 @@ class RangeReport(NamedTuple):
     soc_end: float
     energy_out_kwh: float
     energy_regen_kwh: float
-    regen_enabled: bool
+    regen_enabled: bool  # the leg ran with a regen efficiency above 0
 
 
 class RegenComparisonReport(NamedTuple):
@@ -133,7 +133,7 @@ def _require_finite(name: str, value: float) -> None:
 def _full_throttle(config: VehicleConfig) -> Generator:
     """A primed kernel at rest (config validated, no step run) under the
     pinned full-throttle command, collecting every step: each
-    ``send((n, True, 1.0))`` runs n more steps and yields their columns."""
+    ``send((n, 1.0))`` runs n more steps and yields their columns."""
     kernel = _advance(
         config, _full_throttle_cycle(), initial_state(config), None, True, 1
     )
@@ -197,7 +197,7 @@ def range_test_detailed(
         soc_end=summary.soc_end,
         energy_out_kwh=summary.energy_out_kwh,
         energy_regen_kwh=summary.energy_regen_kwh,
-        regen_enabled=regen_enabled,
+        regen_enabled=regen_enabled and config.drivetrain.regen_efficiency > 0,
     )
     return report, trace, summary, ledger
 
@@ -206,20 +206,21 @@ def _regen_lanes(
     config: VehicleConfig, cycle: DriveCycle, soc_floor: float | None = None
 ) -> tuple[tuple[RangeReport, EnergyLedger], tuple[RangeReport, EnergyLedger]]:
     """``range_test_detailed``'s report and ledger with regen on and with it
-    off, bit for bit, from one kernel pass carrying a regen-off battery
-    lane beside the main one; its errors are those of the two legs run in
-    that order."""
+    off, bit for bit, from one kernel pass carrying a zero-efficiency
+    battery lane beside the main one; its errors are those of the two legs
+    run in that order."""
     floor = _depletion_floor(config, soc_floor)
     dt = config.sim.dt
     off_lane: list = []
     kernel = _advance(config, cycle, initial_state(config), floor, True, 0, off_lane)
     next(kernel)
     end, _, ledger_j, max_err, _ = kernel.send(
-        (_steps_for(config.sim.max_sim_time, dt), True, None)
+        (_steps_for(config.sim.max_sim_time, dt), None)
     )
     soc0 = config.battery.initial_soc
     legs = []
-    for regen, lane in ((True, (end, ledger_j, max_err)), (False, off_lane[0])):
+    on = config.drivetrain.regen_efficiency > 0
+    for regen, lane in ((on, (end, ledger_j, max_err)), (False, off_lane[0])):
         if isinstance(lane, Exception):
             raise lane
         end, ledger_j, _ = lane
@@ -254,12 +255,13 @@ def regen_comparison(
 ) -> RegenComparisonReport:
     """Run the depletion test with and without energy recovery.
 
-    Recovery off disables the charging path only (braking behavior is
-    identical in both legs), so the gain isolates the recovered energy,
-    and both legs follow one trajectory: they run as one pass in this
-    process, a regen-off battery lane beside the regen-on one, and each
-    report equals ``range_test_detailed``'s bit for bit. ``parallel`` is
-    accepted and ignored; only ``perfbench/workloads.py`` still passes it.
+    Recovery off is regen_efficiency 0, which disables the charging path
+    only (braking behavior is identical in both legs), so the gain
+    isolates the recovered energy, and both legs follow one trajectory:
+    they run as one pass in this process, a zero-efficiency battery lane
+    beside the regen-on one, and each report equals
+    ``range_test_detailed``'s bit for bit. ``parallel`` is accepted and
+    ignored; only ``perfbench/workloads.py`` still passes it.
 
     Raises:
         ValueError: If the regen-off leg covers no distance, which leaves
@@ -297,7 +299,7 @@ def accel_test(config: VehicleConfig, target_kmh: float = 100.0) -> AccelReport:
     t_s: list[float] = []
     v_kmh: list[float] = []
     while True:
-        cols = kernel.send((_steps_for(horizon, dt) - len(t_s), True, 1.0))[1]
+        cols = kernel.send((_steps_for(horizon, dt) - len(t_s), 1.0))[1]
         t_s += cols[0]
         v_kmh += cols[2]
         t_cross, idx = _crossing_time(t_s, v_kmh, target_kmh)
@@ -447,7 +449,7 @@ def top_speed_test(config: VehicleConfig, duration: float = 120.0) -> TopSpeedRe
     done = 0
     while done < steps:
         n = min(steps - done, _TOP_SPEED_CHUNK_STEPS)
-        cols = kernel.send((n, True, 1.0))[1]
+        cols = kernel.send((n, 1.0))[1]
         t_s, v_kmh = cols[0], cols[2]
         first = -done % stride
         trajectory += zip(t_s[first::stride], v_kmh[first::stride])

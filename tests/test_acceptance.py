@@ -213,3 +213,26 @@ def test_a9_soc_dynamics(config, udds):
     assert rep_on.increase_steps > 0
     assert rep_on.violation_steps == 0
     assert rep_off.increase_steps == 0
+
+
+def test_a10_dt_convergence(config, udds):
+    # Halving dt twice: explicit Euler converges at first order, so the SoC
+    # drop moves about half as much on the second halving as on the first.
+    # Independent of the step oracle, which shares the kernel's time
+    # discretisation. dt 0.2 is left out: there the PI command chatters.
+    runs = [
+        run(with_overrides(config, sim={"dt": dt}), udds, trace_every=0)[1]
+        for dt in (0.1, 0.05, 0.025)
+    ]
+    drop = [s.soc_start - s.soc_end for s in runs]
+    ratio = (drop[1] - drop[0]) / (drop[2] - drop[1])
+    dist_rel = max(abs(s.distance_km / runs[0].distance_km - 1.0) for s in runs)
+    ok = 1.5 <= ratio <= 2.5 and dist_rel <= 1e-5
+    _report(
+        f"A10 dt convergence: {'PASS' if ok else 'FAIL'} — UDDS at dt 0.1, "
+        f"0.05, 0.025: SoC drop changes {drop[1] - drop[0]:.3g} then "
+        f"{drop[2] - drop[1]:.3g}, ratio {ratio:.2f} (in [1.5, 2.5]); distance "
+        f"rel spread {dist_rel:.1e} (<= 1e-5)"
+    )
+    assert 1.5 <= ratio <= 2.5
+    assert dist_rel <= 1e-5

@@ -17,7 +17,7 @@ from bevsim.cli import build_parser, emit_trace, main
 from bevsim.cycle import serialize_cycle
 from bevsim.engine import TRACE_FIELDS, SimTrace
 from bevsim.experiments import accel_test, top_speed_test
-from bevsim.params import serialize_config
+from bevsim.params import serialize_config, with_overrides
 from bevsim.plots import emit_plot
 
 EXPECTED_HEADER = (
@@ -72,14 +72,15 @@ def test_trace_csv_round_trips_within_1e5(tmp_path, config):
 
 
 def test_emit_trace_three_steps_gives_four_lines(tmp_path, config, udds):
-    trace, _, _ = run(config, udds, max_time=3 * config.sim.dt)
+    cfg = with_overrides(config, sim={"max_sim_time": 3 * config.sim.dt})
+    trace, _, _ = run(cfg, udds)
     path = tmp_path / "three.csv"
     emit_trace(trace, str(path))
     assert len(path.read_text().strip().split("\n")) == 4
 
 
 def test_emit_trace_empty_gives_header_only(tmp_path, config, udds):
-    trace, _, _ = run(config, udds, max_time=0.0)
+    trace, _, _ = run(config, udds, stop_at_soc=config.battery.initial_soc)
     path = tmp_path / "empty.csv"
     emit_trace(trace, str(path))
     assert path.read_text() == EXPECTED_HEADER + "\n"
@@ -471,6 +472,19 @@ def test_range_compare_regen_reports_gain(small_config_path, capsys):
     assert payload["reference_gain_percents"] == [23.0, 25.0, 25.5]
 
 
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["range", "--until-soc", "0.85"]], ids=["simulate", "range"]
+)
+def test_no_regen_prints_the_bytes_of_zero_regen_efficiency(capsys, argv):
+    outputs = []
+    for flags in (["--no-regen"], ["--regen-eff", "0"]):
+        assert main(argv + flags) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    if argv[0] == "range":
+        assert json.loads(outputs[0])["report"]["regen_enabled"] is False
+
+
 def test_range_single_leg_with_outputs(tmp_path, small_config_path, capsys):
     out = tmp_path / "range.csv"
     svg = tmp_path / "range.svg"
@@ -669,7 +683,7 @@ def test_every_subcommand_documents_every_flag():
 
 
 def test_plot_kinds_render(config, udds, tmp_path):
-    trace, _, _ = run(config, udds, max_time=120.0)
+    trace, _, _ = run(with_overrides(config, sim={"max_sim_time": 120.0}), udds)
     for kind in ("tracking", "range_soc"):
         path = tmp_path / f"{kind}.svg"
         emit_plot(trace, kind, str(path))
@@ -706,7 +720,7 @@ def test_report_plots_draw_their_title_and_legend(config, tmp_path, kind, title,
 
 
 def test_plot_rejects_empty_trace(config, udds, tmp_path):
-    empty, _, _ = run(config, udds, max_time=0.0)
+    empty, _, _ = run(config, udds, stop_at_soc=config.battery.initial_soc)
     target = tmp_path / "never.svg"
     with pytest.raises(PlotError):
         emit_plot(empty, "tracking", str(target))
@@ -714,13 +728,13 @@ def test_plot_rejects_empty_trace(config, udds, tmp_path):
 
 
 def test_plot_rejects_unknown_kind(config, udds, tmp_path):
-    trace, _, _ = run(config, udds, max_time=10.0)
+    trace, _, _ = run(with_overrides(config, sim={"max_sim_time": 10.0}), udds)
     with pytest.raises(PlotError):
         emit_plot(trace, "waterfall", str(tmp_path / "x.svg"))
 
 
 def test_tracking_plot_has_both_curves(config, udds, tmp_path):
-    trace, _, _ = run(config, udds, max_time=200.0)
+    trace, _, _ = run(with_overrides(config, sim={"max_sim_time": 200.0}), udds)
     path = tmp_path / "tracking.svg"
     emit_plot(trace, "tracking", str(path))
     text = path.read_text()

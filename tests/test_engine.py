@@ -81,15 +81,23 @@ def _bits(obj, name="") -> dict:
     return out
 
 
-def _step_matches_reference(config, cycle, n, state=None, **options):
+def _regen_off(config):
+    return with_overrides(config, drivetrain={"regen_efficiency": 0.0})
+
+
+def _step_matches_reference(
+    config, cycle, n, state=None, regen_enabled=True, pinned_command=None
+):
     """Iterate step() and the reference step side by side from ``state``
     (default: at rest); every record and state must agree bit for bit.
-    Returns the reference records and final state."""
+    The reference switches regen off by its own flag, step() by the config's
+    efficiency. Returns the reference records and final state."""
+    stepped = config if regen_enabled else _regen_off(config)
     ref = mine = state if state is not None else initial_state(config)
     records = []
     for i in range(n):
-        ref, want = reference_step(ref, cycle, config, **options)
-        mine, got = step(mine, cycle, config, **options)
+        ref, want = reference_step(ref, cycle, config, regen_enabled, pinned_command)
+        mine, got = step(mine, cycle, stepped, pinned_command=pinned_command)
         assert _bits(got) == _bits(want), f"record diverges at step {i}"
         assert _bits(mine) == _bits(ref), f"state diverges at step {i}"
         records.append(want)
@@ -99,10 +107,14 @@ def _step_matches_reference(config, cycle, n, state=None, **options):
 def _run_and_step_match_reference(config, cycle, n, **options):
     """run() for n steps from rest and iterated step() both equal the
     reference on every record; run()'s summary and ledger equal the
-    reference run's, floats compared as hex."""
+    reference run's, floats compared as hex. run() is bounded by
+    sim.max_sim_time, which ends a cycle on its last step at its cycle end."""
     _step_matches_reference(config, cycle, n, **options)
     records, want_summary, want_ledger = reference_run(config, cycle, n, **options)
-    trace, summary, ledger = run(config, cycle, max_time=n * config.sim.dt, **options)
+    bounded = with_overrides(config, sim={"max_sim_time": n * config.sim.dt})
+    trace, summary, ledger = run(bounded, cycle, **options)
+    if n == engine._steps_for(cycle.duration_s, config.sim.dt):
+        want_summary = want_summary._replace(stop_reason=StopReason.CYCLE_END)
     assert len(trace) == n
     for i, want in enumerate(records):
         assert _bits(trace.record(i)) == _bits(want), f"run() diverges at step {i}"
@@ -201,7 +213,8 @@ def test_repeat_cursor_matches_target_speed_over_wraps(config):
     # 300 steps wrap _SHORT nine times. Every target must be target_speed's
     # double at the query time of the kernel's wrap rule.
     cycle = _SHORT
-    trace, _, _ = run(config, cycle, repeat=True, max_time=30.0)
+    cfg = with_overrides(config, sim={"max_sim_time": 30.0})
+    trace, _, _ = run(cfg, cycle, repeat=True)
     assert len(trace) == 300
     duration = cycle.duration_s
     wraps = 0
@@ -269,14 +282,14 @@ def test_interleaved_step_sessions_keep_their_own_configs(config):
     n = 250
     want = [_session_bits(_session(cfg, n)) for cfg in configs]
     assert want[0] != want[1]
-    other = _with_mass(config, 1800.0)
+    other = with_overrides(_with_mass(config, 1800.0), sim={"max_sim_time": 0.5})
     states = [initial_state(cfg) for cfg in configs]
     got = [[], []]
     for _ in range(n):
         for i, cfg in enumerate(configs):
             states[i], record = step(states[i], _LAUNCH, cfg)
             got[i].append((_bits(states[i]), _bits(record)))
-            run(other, _LAUNCH, max_time=0.5)
+            run(other, _LAUNCH)
     assert got == want
 
 
@@ -364,16 +377,11 @@ def test_step_rejects_an_invalid_config(config, udds, change, field):
 
 
 def test_a_repeated_cycle_shorter_than_one_step_is_refused(config):
+    cfg = with_overrides(config, sim={"max_sim_time": 2.0})
     with pytest.raises(CycleError, match="must last at least one step of 0.1 s"):
-        run(
-            config, DriveCycle("blip", (0.0, 0.05), (0.0, 0.0)), repeat=True,
-            max_time=2.0,
-        )
+        run(cfg, DriveCycle("blip", (0.0, 0.05), (0.0, 0.0)), repeat=True)
     # One step long is enough: every step wraps once.
-    _, summary, _ = run(
-        config, DriveCycle("tick", (0.0, 0.1), (0.0, 0.0)), repeat=True,
-        max_time=2.0,
-    )
+    _, summary, _ = run(cfg, DriveCycle("tick", (0.0, 0.1), (0.0, 0.0)), repeat=True)
     assert summary.cycles_completed == 20
     assert summary.stop_reason is StopReason.MAX_TIME
 
@@ -402,17 +410,25 @@ def test_a_step_session_creates_one_kernel(config, kernels):
 
 
 def test_resumed_session_follows_options_changed_every_tick(config, udds, kernels):
-    # Regen and the pinned command change on every tick of one resumed
-    # kernel; each tick must still equal the reference step bit for bit.
+    # The pinned command changes on every tick and regen on some; each tick
+    # must still equal the reference step, which switches regen by its flag,
+    # bit for bit. Regen off is a config swap, so each swap starts one new
+    # kernel, while the command changes resume the one running.
     commands = [None, None, 0.8, None, -0.7, None, 0.2, -1.0]
+    off = _regen_off(config)
     ref = mine = initial_state(config)
     for i in range(600):
-        options = dict(regen_enabled=i % 5 != 2, pinned_command=commands[i % 8])
-        ref, want = reference_step(ref, udds, config, **options)
-        mine, got = step(mine, udds, config, **options)
+        regen_enabled = i % 5 != 2
+        pinned_command = commands[i % 8]
+        ref, want = reference_step(ref, udds, config, regen_enabled, pinned_command)
+        mine, got = step(
+            mine, udds, config if regen_enabled else off, pinned_command=pinned_command
+        )
         assert _bits(got) == _bits(want), f"record diverges at step {i}"
         assert _bits(mine) == _bits(ref), f"state diverges at step {i}"
-    assert len(kernels) == 1
+    # Each of the 120 regen-off ticks swaps its config in, and the next tick
+    # swaps it back out.
+    assert len(kernels) == 1 + 2 * 120
 
 
 def test_branching_from_one_state_gives_identical_branches(config, kernels):
@@ -496,18 +512,17 @@ def test_a_kernel_is_taken_before_it_resumes(config, monkeypatch):
 # wraps, the stop clamp, and a tiny battery whose SoC floor (reached at step
 # 53) falls inside a chunk.
 def _chunk_scenario(config, name):
-    """(config, cycle, kernel options: those fixed at creation and those sent
-    with each chunk)."""
+    """(config, cycle, kernel options: those fixed at creation and the
+    command sent with each chunk)."""
     if name == "wraps":
-        return config, _SHORT, dict(
-            regen_enabled=True, stop_at_soc=None, repeat=True, pinned_command=None
-        )
+        return config, _SHORT, dict(stop_at_soc=None, repeat=True, pinned_command=None)
     if name == "stop-clamp":
         return _clamp_config(config), _SAWTOOTH, dict(
-            regen_enabled=True, stop_at_soc=None, repeat=False, pinned_command=None
+            stop_at_soc=None, repeat=False, pinned_command=None
         )
-    return with_overrides(config, battery={"capacity_energy": 0.2}), _LAUNCH, dict(
-        regen_enabled=False, stop_at_soc=0.85, repeat=True, pinned_command=None
+    tiny = with_overrides(config, battery={"capacity_energy": 0.2})
+    return _regen_off(tiny), _LAUNCH, dict(
+        stop_at_soc=0.85, repeat=True, pinned_command=None
     )
 
 
@@ -528,7 +543,7 @@ def test_kernel_resumed_in_chunks_equals_one_call(
 ):
     cfg, cycle, options = _chunk_scenario(config, scenario)
     start = initial_state(cfg)
-    sent = (options["regen_enabled"], options["pinned_command"])
+    sent = (options["pinned_command"],)
 
     def kernel():
         primed = engine._advance(
@@ -579,19 +594,89 @@ def test_step_matches_reference_from_any_finite_client_state(
 ):
     # A few steps from the drawn state: each either raises the same
     # exception type on both routes or agrees on every field as hex.
-    options = dict(regen_enabled=regen_enabled, pinned_command=pinned_command)
+    stepped = config if regen_enabled else _regen_off(config)
     ref = mine = initial_state(config)._replace(**change)
     for _ in range(n):
         try:
-            ref, want = reference_step(ref, udds, config, **options)
+            ref, want = reference_step(ref, udds, config, regen_enabled, pinned_command)
         except Exception as exc:
             with pytest.raises(Exception) as raised:
-                step(mine, udds, config, **options)
+                step(mine, udds, stepped, pinned_command=pinned_command)
             assert type(raised.value) is type(exc)
             return
-        mine, got = step(mine, udds, config, **options)
+        mine, got = step(mine, udds, stepped, pinned_command=pinned_command)
         assert _bits(got) == _bits(want)
         assert _bits(mine) == _bits(ref)
+
+
+# Config changes in the ranges test_experiments' _random_config draws, with
+# a regen efficiency and cutoff of their own.
+_CONFIG_CHANGES = st.fixed_dictionaries({
+    "body": st.fixed_dictionaries({
+        "mass": st.floats(950.0, 2300.0),
+        "drag_coefficient": st.floats(0.25, 0.45),
+        "frontal_area": st.floats(1.6, 2.6),
+        "f0": st.floats(0.008, 0.022),
+        "wheel_radius": st.floats(0.26, 0.34),
+    }),
+    "motor": st.fixed_dictionaries({
+        "max_speed": st.floats(4400.0, 14000.0),
+        "max_power": st.floats(50.0, 150.0),
+        "max_torque": st.floats(50.0, 800.0),
+    }),
+    "drivetrain": st.fixed_dictionaries({
+        "gear_ratio": st.floats(3.5, 7.0),
+        "transmission_efficiency": st.floats(0.86, 0.97),
+        "regen_efficiency": st.floats(0.0, 1.0),
+        "regen_cutoff_speed": st.floats(0.0, 10.0),
+    }),
+})
+
+
+@given(
+    changes=_CONFIG_CHANGES,
+    change=_CLIENT_STATES,
+    pinned_command=st.none() | st.floats(-1.0, 1.0),
+    n=st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_step_at_zero_regen_efficiency_is_the_reference_with_regen_off(
+    config, udds, changes, change, pinned_command, n
+):
+    # The reference's own regen flag, off on the drawn config and on at
+    # efficiency 0, against step() at efficiency 0: the same exception type
+    # or the same bits.
+    drawn = with_overrides(config, **changes)
+    zero = _regen_off(drawn)
+    ref = also = mine = initial_state(drawn)._replace(**change)
+    for _ in range(n):
+        try:
+            ref, want = reference_step(ref, udds, drawn, False, pinned_command)
+        except Exception as exc:
+            for call, args in (
+                (reference_step, (also, udds, zero, True)),
+                (step, (mine, udds, zero)),
+            ):
+                with pytest.raises(Exception) as raised:
+                    call(*args, pinned_command=pinned_command)
+                assert type(raised.value) is type(exc)
+            return
+        also, want_too = reference_step(also, udds, zero, True, pinned_command)
+        mine, got = step(mine, udds, zero, pinned_command=pinned_command)
+        assert _bits(got) == _bits(want) == _bits(want_too)
+        assert _bits(mine) == _bits(ref) == _bits(also)
+
+
+def test_step_takes_the_pinned_command_by_keyword_only(config, udds):
+    # A positional False, an old regen flag, would pin the command at 0.
+    with pytest.raises(TypeError):
+        step(initial_state(config), udds, config, False)
+
+
+def test_regen_off_run_validates_the_callers_config_first(config, udds):
+    bad = with_overrides(config, drivetrain={"regen_efficiency": 2.0})
+    with pytest.raises(ConfigError, match="drivetrain.regen_efficiency"):
+        run(bad, udds, regen_enabled=False)
 
 
 def test_runs_are_deterministic(config, udds):
@@ -653,10 +738,11 @@ def test_ledger_regen_energy_flows(config, udds):
     assert ledger_check(off).passed
 
 
-def test_zero_max_time_gives_empty_trace(config, udds):
-    trace, summary, ledger = run(config, udds, max_time=0.0)
+def test_a_run_stopped_before_its_first_step_is_empty(config, udds):
+    # A floor at the initial soc stops the kernel before its first step.
+    trace, summary, ledger = run(config, udds, stop_at_soc=config.battery.initial_soc)
     assert len(trace) == 0
-    assert summary.stop_reason is StopReason.MAX_TIME
+    assert summary.stop_reason is StopReason.SOC_FLOOR
     assert summary.duration_s == 0.0
     assert ledger.battery_out == 0.0
     assert ledger_check(ledger).passed
@@ -665,11 +751,11 @@ def test_zero_max_time_gives_empty_trace(config, udds):
 def test_stop_reason_priority(config, udds):
     # soc floor beats the time limit; the time limit beats cycle end.
     tiny = with_overrides(config, battery={"capacity_energy": 0.2})
-    _, summary, _ = run(tiny, udds, stop_at_soc=0.88, max_time=1e6, repeat=True)
+    _, summary, _ = run(tiny, udds, stop_at_soc=0.88, repeat=True)
     assert summary.stop_reason is StopReason.SOC_FLOOR
     assert summary.soc_end <= 0.88
 
-    _, summary, _ = run(config, udds, max_time=100.0)
+    _, summary, _ = run(with_overrides(config, sim={"max_sim_time": 100.0}), udds)
     assert summary.stop_reason is StopReason.MAX_TIME
     assert summary.duration_s == pytest.approx(100.0, abs=1e-6)
 
@@ -698,37 +784,9 @@ def test_single_pass_is_bounded_by_max_sim_time(config):
     assert np.array_equal(t_fit.v_kmh, t_ref.v_kmh)
 
 
-def test_max_time_only_shortens_a_run_below_max_sim_time(config):
-    cfg = with_overrides(config, sim={"max_sim_time": 10.0})
-    cycle = synth_trapezoid(50.0, 15.0, 10.0)
-    assert cycle.duration_s == 40.0
-    # A longer max_time cannot outlast the bound.
-    trace, summary, _ = run(cfg, cycle, max_time=30.0, repeat=True)
-    assert len(trace) == 100
-    assert summary.duration_s == pytest.approx(10.0, abs=1e-9)
-    assert summary.stop_reason is StopReason.MAX_TIME
-    # A shorter one still binds.
-    trace, summary, _ = run(cfg, cycle, max_time=4.0)
-    assert len(trace) == 40
-    assert summary.stop_reason is StopReason.MAX_TIME
-    # A cycle ending on the bound's last step ends at its cycle end, and one
-    # ending on max_time's last step stops on time, as before.
-    fits = with_overrides(config, sim={"max_sim_time": 40.0})
-    _, summary, _ = run(fits, cycle, max_time=100.0)
-    assert summary.stop_reason is StopReason.CYCLE_END
-    assert summary.duration_s == pytest.approx(40.0, abs=1e-9)
-    _, summary, _ = run(config, cycle, max_time=40.0)
-    assert summary.stop_reason is StopReason.MAX_TIME
-    assert summary.duration_s == pytest.approx(40.0, abs=1e-9)
-
-
-def test_run_rejects_non_finite_max_time(config, udds):
-    with pytest.raises(ValueError, match="max_time"):
-        run(config, udds, max_time=float("inf"))
-
-
 def test_repeat_mode_counts_cycles(config, udds):
-    _, summary, _ = run(config, udds, repeat=True, max_time=3000.0)
+    cfg = with_overrides(config, sim={"max_sim_time": 3000.0})
+    _, summary, _ = run(cfg, udds, repeat=True)
     assert summary.stop_reason is StopReason.MAX_TIME
     assert summary.cycles_completed == 2
     # two full cycles plus 262 s of a third
@@ -749,7 +807,8 @@ def test_repeat_mode_counts_cycles_by_step(config, udds, n):
     assert engine._cycles_completed(t, dt, udds.duration_s) == n
     if n == 20:
         assert t < n * udds.duration_s
-        _, summary, _ = run(config, udds, repeat=True, max_time=n * udds.duration_s)
+        cfg = with_overrides(config, sim={"max_sim_time": n * udds.duration_s})
+        _, summary, _ = run(cfg, udds, repeat=True)
         assert summary.duration_s == t
         assert summary.cycles_completed == n
 
@@ -779,7 +838,8 @@ def test_trace_decimation(config, udds):
 
 @pytest.mark.parametrize("trace_every", [0, 1, 7])
 def test_every_trace_column_is_its_own_array(config, udds, trace_every):
-    trace, _, _ = run(config, udds, max_time=60.0, trace_every=trace_every)
+    cfg = with_overrides(config, sim={"max_sim_time": 60.0})
+    trace, _, _ = run(cfg, udds, trace_every=trace_every)
     columns = [getattr(trace, f) for f in TRACE_FIELDS]
     assert all(type(c) is array and c.typecode == "d" for c in columns)
     assert len({id(c) for c in columns}) == len(TRACE_FIELDS)
@@ -788,12 +848,11 @@ def test_every_trace_column_is_its_own_array(config, udds, trace_every):
 def test_trace_collection_peaks_below_300_bytes_per_kept_row(config, udds):
     # One flat buffer, sliced into its columns at the end of the chunk: the
     # buffer (about 128 B a row) and the columns (120 B) are all it holds.
-    run(config, udds, max_time=10.0)  # the config's invariants, hoisted
+    cfg = with_overrides(config, sim={"max_sim_time": 5 * 1369.0})
+    run(cfg, udds, stop_at_soc=1.0)  # the config's invariants, hoisted
     tracemalloc.start()
     try:
-        trace, _, _ = run(
-            config, udds, repeat=True, max_time=5 * 1369.0, trace_every=1
-        )
+        trace, _, _ = run(cfg, udds, repeat=True, trace_every=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -806,7 +865,8 @@ def test_torque_capped_to_zero_beyond_motor_ceiling(config):
     # must coast rather than raise.
     cfg = with_overrides(config, drivetrain={"gear_ratio": 10.0})
     cycle = synth_trapezoid(150.0, 60.0, 60.0)
-    trace, _, _ = run(cfg, cycle, pinned_command=1.0, max_time=120.0)
+    cfg = with_overrides(cfg, sim={"max_sim_time": 120.0})
+    trace, _, _ = run(cfg, cycle, pinned_command=1.0)
     ceiling_kmh = cfg.motor.max_speed / (
         10.0 * (60.0 / (2.0 * np.pi)) / (3.6 * cfg.body.wheel_radius)
     )

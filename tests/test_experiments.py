@@ -210,10 +210,9 @@ def _accel_over_full_cap(config, target_kmh):
     """accel_test's report from one full-throttle run over the whole time
     cap; None when the target is not reached within it."""
     trace, _, _ = run(
-        config,
+        with_overrides(config, sim={"max_sim_time": _FULL_THROTTLE_TIME_CAP_S}),
         _full_throttle_cycle(),
         pinned_command=1.0,
-        max_time=_FULL_THROTTLE_TIME_CAP_S,
         repeat=True,
     )
     t_cross, idx = _crossing_time(trace.t_s, trace.v_kmh, target_kmh)
@@ -283,8 +282,8 @@ def test_accel_crossing_just_past_the_cap_is_unreachable(config):
     # the quadrature oracle call the target unreachable.
     heavy = with_overrides(config, body={"mass": 90_000.0, "f0": 0.0})
     trace, _, _ = run(
-        heavy, _full_throttle_cycle(), pinned_command=1.0, max_time=900.0,
-        repeat=True,
+        with_overrides(heavy, sim={"max_sim_time": 900.0}), _full_throttle_cycle(),
+        pinned_command=1.0, repeat=True,
     )
     assert _crossing_time(trace.t_s, trace.v_kmh, 100.0)[0] < 900.0
     assert _accel_over_full_cap(heavy, 100.0) is None
@@ -477,6 +476,10 @@ def test_regen_comparison_gain_zero_at_zero_efficiency(small_battery_config, udd
     cfg = with_overrides(small_battery_config, drivetrain={"regen_efficiency": 0.0})
     comparison = regen_comparison(cfg, udds)
     assert comparison.gain_fraction == 0.0
+    # Both legs ran without recovery, and their reports say so.
+    assert comparison.regen_on == comparison.regen_off
+    assert not comparison.regen_on.regen_enabled
+    assert not range_test_detailed(cfg, udds)[0].regen_enabled
 
 
 def test_regen_comparison_gain_grows_with_efficiency(small_battery_config, udds):
