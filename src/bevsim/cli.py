@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--until-soc", type=float, metavar="F",
-        help="SoC floor ending the run (default: config battery.soc_floor)",
+        help="override the SoC floor ending the run (battery.soc_floor)",
     )
     p.add_argument(
         "--compare-regen", action="store_true",
@@ -186,6 +186,8 @@ def _load_config(args) -> VehicleConfig:
         overrides["sim"] = {"dt": args.dt}
     if regen_eff is not None:
         overrides["drivetrain"] = {"regen_efficiency": regen_eff}
+    if getattr(args, "until_soc", None) is not None:
+        overrides["battery"] = {"soc_floor": args.until_soc}
     if overrides:
         config = with_overrides(config, **overrides)
         violations = validate(config)
@@ -193,7 +195,7 @@ def _load_config(args) -> VehicleConfig:
             raise ConfigError(
                 "invalid configuration after overrides: " + "; ".join(violations)
             )
-    _check_numeric_flags(args, config)
+    _check_numeric_flags(args)
     return config
 
 
@@ -202,11 +204,11 @@ _POSITIVE_FLAGS = ("duration", "speed", "power")
 _NON_NEGATIVE_FLAGS = ("target",)
 
 
-def _check_numeric_flags(args, config: VehicleConfig) -> None:
+def _check_numeric_flags(args) -> None:
     """The one rule for numeric flags: every float flag is finite; a
-    duration, speed or power is > 0, a target >= 0; and a SoC floor lies in
-    [0, initial SoC). The overrides of config fields (--dt, --regen-eff)
-    have already been held to the config's own rules."""
+    duration, speed or power is > 0, a target >= 0. The overrides of config
+    fields (--dt, --regen-eff, --until-soc) have already been held to the
+    config's own rules."""
     for dest, value in vars(args).items():
         if not isinstance(value, float):
             continue
@@ -217,13 +219,6 @@ def _check_numeric_flags(args, config: VehicleConfig) -> None:
             raise ConfigError(f"{flag} must be > 0 (got {value})")
         if dest in _NON_NEGATIVE_FLAGS and not value >= 0.0:
             raise ConfigError(f"{flag} must be >= 0 (got {value})")
-    until_soc = getattr(args, "until_soc", None)
-    initial_soc = config.battery.initial_soc
-    if until_soc is not None and not 0.0 <= until_soc < initial_soc:
-        raise ConfigError(
-            f"--until-soc must lie in [0, {initial_soc}), below the initial "
-            f"SoC (got {until_soc})"
-        )
 
 
 def _load_cycle(args) -> DriveCycle:
@@ -326,12 +321,10 @@ def cmd_range(args) -> int:
     if args.every < 1:
         raise ConfigError(f"--every must be >= 1 (got {args.every})")
     if args.compare_regen:
-        for flag, value in (
-            ("--no-regen", args.no_regen), ("--out", args.out), ("--plot", args.plot)
-        ):
+        for flag, value in (("--out", args.out), ("--plot", args.plot)):
             if value:
                 raise ConfigError(f"--compare-regen conflicts with {flag}")
-        comparison, ledgers = experiments._compare_legs(config, cycle, args.until_soc)
+        comparison, ledgers = experiments._compare_legs(config, cycle)
         _print_json(
             {
                 "schema_version": SCHEMA_VERSION,
@@ -350,7 +343,7 @@ def cmd_range(args) -> int:
         return 0
     trace_every = args.every if (args.out or args.plot) else 0
     report, trace, _, ledger = experiments.range_test_detailed(
-        config, cycle, soc_floor=args.until_soc, trace_every=trace_every
+        config, cycle, trace_every=trace_every
     )
     if args.out:
         emit_trace(trace, args.out)

@@ -35,9 +35,10 @@ integration, the motor envelope, the electrical conversion and the battery
 update. ``dynamics`` holds only the road-load formulas that the
 experiments' force-balance oracles evaluate. The kernel is a generator
 whose suspended frame is the carry, and it has one contract. Creating it
-fixes what holds for its life (config, cycle, start ``SimState``, soc
-floor, repeat, trace stride); ``next()`` primes it, validating the config
-and yielding at once with no step run; every chunk of steps then arrives
+fixes what holds for its life (config, cycle, start ``SimState``, repeat,
+trace stride; a repeating kernel stops at the config's soc floor, a single
+pass has none); ``next()`` primes it, validating the config and yielding
+at once with no step run; every chunk of steps then arrives
 by ``send((n, pinned_command))``, which yields the end ``SimState``. What
 it accumulates (ledger sums, tracking-error maximum, cycle cursor, step
 index) stays in the frame between chunks, so a resumed kernel gives the
@@ -264,7 +265,7 @@ def step(
             and math.isfinite(out) and math.isfinite(regen)
         ):
             raise ValueError(f"state floats must be finite (got {state})")
-        kernel = _advance(config, cycle, state, None, False, 0)
+        kernel = _advance(config, cycle, state, False, 0)
         next(kernel)
     end, _, _, _, last = kernel.send((1, pinned_command))
     # Put back only after the kernel stepped: one that raised is dropped.
@@ -324,19 +325,18 @@ def run(
     cycle: DriveCycle,
     *,
     regen_enabled: bool = True,
-    stop_at_soc: float | None = None,
     repeat: bool = False,
     pinned_command: float | None = None,
     trace_every: int = 1,
 ) -> tuple[SimTrace, SimSummary, EnergyLedger]:
     """Run the closed loop from ``initial_state`` until a stop condition.
 
-    With ``repeat=True`` the cycle wraps around until the soc floor or
-    time limit. sim.max_sim_time bounds every run: a repeated or soc-floor
-    run, and a single pass whose cycle is longer. Stop priority on one
-    step: soc floor, then cycle end, then max time. ``trace_every`` keeps
-    every Nth record (0 disables collection; the ledger and summary always
-    run at full rate). ``regen_enabled=False`` runs the config with
+    With ``repeat=True`` the cycle wraps around until battery.soc_floor or
+    the time limit; a single pass has no soc floor. sim.max_sim_time
+    bounds every run: a repeated run, and a single pass whose cycle is
+    longer. Stop priority on one step: soc floor, then cycle end, then max
+    time. ``trace_every`` keeps every Nth record (0 disables collection;
+    the ledger and summary always run at full rate). ``regen_enabled=False`` runs the config with
     regen_efficiency 0; ROADMAP item 1 can drop the keyword with its
     benchmark callers.
 
@@ -344,8 +344,7 @@ def run(
         ConfigError: If the config fails validation.
         CycleError: If ``repeat`` is set and the cycle is shorter than one
             step.
-        ValueError: If ``trace_every`` is negative or ``stop_at_soc`` is
-            not finite.
+        ValueError: If ``trace_every`` is negative.
         DegenerateVoltageError: If the terminal voltage collapses (below
             1 V), the last step included.
     """
@@ -354,14 +353,10 @@ def run(
         config = config._replace(
             drivetrain=config.drivetrain._replace(regen_efficiency=0.0)
         )
-    kernel = _advance(
-        config, cycle, initial_state(config), stop_at_soc, repeat, trace_every
-    )
+    kernel = _advance(config, cycle, initial_state(config), repeat, trace_every)
     next(kernel)  # validates the config first
     if trace_every < 0:
         raise ValueError(f"trace_every must be >= 0 (got {trace_every})")
-    if stop_at_soc is not None and not math.isfinite(stop_at_soc):
-        raise ValueError(f"stop_at_soc must be finite (got {stop_at_soc})")
 
     bat = config.battery
     dt = config.sim.dt
@@ -376,7 +371,7 @@ def run(
     t, _, dist, _, soc, _, energy_out, energy_regen, _ = end
     # The kernel stops early only at the soc floor, which also outranks a
     # step limit reached on the same step.
-    if stop_at_soc is not None and soc <= stop_at_soc:
+    if repeat and soc <= bat.soc_floor:
         reason = StopReason.SOC_FLOOR
     elif time_steps < cycle_steps:
         reason = StopReason.MAX_TIME
@@ -450,7 +445,6 @@ def _advance(
     config: VehicleConfig,
     cycle: DriveCycle,
     start: SimState,
-    stop_at_soc: float | None,
     repeat: bool,
     trace_every: int,
     off_lane: list | None = None,
@@ -460,12 +454,12 @@ def _advance(
     ``next()`` primes it: the config is validated (else ``ConfigError``), a
     repeated cycle shorter than one step is refused (``CycleError``), and
     it yields at once with no step run. Each ``send((n, pinned_command))``
-    then runs n more steps under that command (None: the PI driver's), or
-    fewer once the soc reaches ``stop_at_soc``, and yields
-    ``(end, cols, ledger_j, max_err, last)``: the end
-    ``SimState``; one ``array('d')`` per TRACE_FIELDS column holding this
-    chunk's records whose step index (counted from ``start``) is a
-    multiple of ``trace_every``, each a strided slice of the one flat
+    then runs n more steps under that command (None: the PI driver's), or,
+    when ``repeat`` is set, fewer once the soc reaches the config's
+    battery.soc_floor, and yields ``(end, cols, ledger_j, max_err, last)``:
+    the end ``SimState``; one ``array('d')`` per TRACE_FIELDS column
+    holding this chunk's records whose step index (counted from ``start``)
+    is a multiple of ``trace_every``, each a strided slice of the one flat
     buffer the chunk's packed records fill (with ``trace_every`` 0, an
     empty tuple per column and no buffer); the ledger buckets in joules, in
     EnergyLedger field order; the largest post-step tracking error [km/h];
@@ -483,8 +477,8 @@ def _advance(
     from ``start`` and rides on the one trajectory (see the module notes):
     it keeps only its own current, soc, voltage, energy totals and
     battery-side ledger terms. A regen step leaves the main lane's voltage
-    higher and its later currents no larger, so the lane reaches
-    ``stop_at_soc`` no later than the main lane; it stops after that step.
+    higher and its later currents no larger, so the lane reaches the soc
+    floor no later than the main lane; it stops after that step.
     ``off_lane`` then holds ``[(end, ledger_j, max_err)]`` as at a yield,
     written when the lane stops and at each yield while it runs, or
     ``[DegenerateVoltageError]`` for the caller to raise once the main lane
@@ -514,7 +508,7 @@ def _advance(
     e_out = e_regen = e_resist = e_roll = e_aero = e_fric = e_drive = e_kin = 0.0
     max_err = 0.0
 
-    floor = -math.inf if stop_at_soc is None else stop_at_soc  # -inf: no floor
+    floor = config.battery.soc_floor if repeat else -math.inf  # -inf: no floor
 
     # The zero-efficiency lane's battery state and ledger terms; lane_limit
     # holds the step limit while the lane's floor stop borrows it.

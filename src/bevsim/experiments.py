@@ -133,10 +133,10 @@ def _require_finite(name: str, value: float) -> None:
 def _full_throttle(config: VehicleConfig) -> Generator:
     """A primed kernel at rest (config validated, no step run) under the
     pinned full-throttle command, collecting every step: each
-    ``send((n, 1.0))`` runs n more steps and yields their columns."""
-    kernel = _advance(
-        config, _full_throttle_cycle(), initial_state(config), None, True, 1
-    )
+    ``send((n, 1.0))`` runs n more steps and yields their columns. Its
+    cycle is a single pass with no soc floor; past the cycle's end the
+    target holds at its last speed, 0.0, as when it repeats."""
+    kernel = _advance(config, _full_throttle_cycle(), initial_state(config), False, 1)
     next(kernel)
     return kernel
 
@@ -161,34 +161,16 @@ def _crossing_time(
     return t_prev + (t[i] - t_prev) * frac, i
 
 
-def _depletion_floor(config: VehicleConfig, soc_floor: float | None) -> float:
-    """A depletion run's soc floor (the config's unless given), checked to
-    be finite and below the initial soc."""
-    floor = config.battery.soc_floor if soc_floor is None else soc_floor
-    _require_finite("soc floor", floor)
-    if config.battery.initial_soc <= floor:
-        raise ValueError(
-            f"initial_soc {config.battery.initial_soc} must exceed the "
-            f"soc floor {floor}"
-        )
-    return floor
-
-
 def range_test_detailed(
     config: VehicleConfig,
     cycle: DriveCycle,
     regen_enabled: bool = True,
-    soc_floor: float | None = None,
     trace_every: int = 0,
 ) -> tuple[RangeReport, SimTrace, SimSummary, EnergyLedger]:
-    """Repeat the cycle until the SoC floor; also return trace/summary/ledger."""
+    """Repeat the cycle until battery.soc_floor; also return
+    trace/summary/ledger."""
     trace, summary, ledger = run(
-        config,
-        cycle,
-        regen_enabled=regen_enabled,
-        stop_at_soc=_depletion_floor(config, soc_floor),
-        repeat=True,
-        trace_every=trace_every,
+        config, cycle, regen_enabled=regen_enabled, repeat=True, trace_every=trace_every
     )
     report = RangeReport(
         distance_km=summary.distance_km,
@@ -203,16 +185,15 @@ def range_test_detailed(
 
 
 def _regen_lanes(
-    config: VehicleConfig, cycle: DriveCycle, soc_floor: float | None = None
+    config: VehicleConfig, cycle: DriveCycle
 ) -> tuple[tuple[RangeReport, EnergyLedger], tuple[RangeReport, EnergyLedger]]:
     """``range_test_detailed``'s report and ledger with regen on and with it
     off, bit for bit, from one kernel pass carrying a zero-efficiency
     battery lane beside the main one; its errors are those of the two legs
     run in that order."""
-    floor = _depletion_floor(config, soc_floor)
     dt = config.sim.dt
     off_lane: list = []
-    kernel = _advance(config, cycle, initial_state(config), floor, True, 0, off_lane)
+    kernel = _advance(config, cycle, initial_state(config), True, 0, off_lane)
     next(kernel)
     end, _, ledger_j, max_err, _ = kernel.send(
         (_steps_for(config.sim.max_sim_time, dt), None)
@@ -232,11 +213,11 @@ def _regen_lanes(
 
 
 def _compare_legs(
-    config: VehicleConfig, cycle: DriveCycle, soc_floor: float | None
+    config: VehicleConfig, cycle: DriveCycle
 ) -> tuple[RegenComparisonReport, tuple[EnergyLedger, EnergyLedger]]:
     """``regen_comparison``'s report with the two legs' ledgers (regen on,
     then off), from the one pass of ``_regen_lanes``."""
-    (on, on_ledger), (off, off_ledger) = _regen_lanes(config, cycle, soc_floor)
+    (on, on_ledger), (off, off_ledger) = _regen_lanes(config, cycle)
     if off.distance_km == 0.0:
         raise ValueError(
             f"the regen-off leg covered no distance (soc_end {off.soc_end:g}), "
@@ -248,12 +229,10 @@ def _compare_legs(
 
 
 def regen_comparison(
-    config: VehicleConfig,
-    cycle: DriveCycle,
-    soc_floor: float | None = None,
-    parallel: bool = False,
+    config: VehicleConfig, cycle: DriveCycle, parallel: bool = False
 ) -> RegenComparisonReport:
-    """Run the depletion test with and without energy recovery.
+    """Run the depletion test, to battery.soc_floor, with and without
+    energy recovery.
 
     Recovery off is regen_efficiency 0, which disables the charging path
     only (braking behavior is identical in both legs), so the gain
@@ -267,7 +246,7 @@ def regen_comparison(
         ValueError: If the regen-off leg covers no distance, which leaves
             the gain undefined.
     """
-    return _compare_legs(config, cycle, soc_floor)[0]
+    return _compare_legs(config, cycle)[0]
 
 
 def accel_test(config: VehicleConfig, target_kmh: float = 100.0) -> AccelReport:

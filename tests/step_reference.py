@@ -41,6 +41,7 @@ from bevsim.engine import (
     SimTrace,
     StopReason,
     TraceRecord,
+    _steps_for,
     _whole_steps,
     initial_state,
 )
@@ -608,7 +609,9 @@ def reference_run(
     pinned_command: float | None = None,
 ) -> tuple[list[TraceRecord], SimSummary, EnergyLedger]:
     """Iterate ``reference_step`` n times from rest; returns the records and
-    the summary and ledger of a single-pass run stopped by ``max_time``.
+    the summary and ledger of a single-pass run bounded at n steps: its
+    stop reason is ``CYCLE_END`` when n reaches the cycle's step count (a
+    tie goes to the cycle end), else ``MAX_TIME``.
 
     The ledger buckets [J] and the tracking-error maximum accumulate with
     the kernel's documented expressions in their written order (storage-side
@@ -673,7 +676,11 @@ def reference_run(
         energy_out_kwh=state.cumulative_energy_out,
         energy_regen_kwh=state.cumulative_energy_regen,
         cycles_completed=cycles,
-        stop_reason=StopReason.MAX_TIME,
+        stop_reason=(
+            StopReason.CYCLE_END
+            if n >= _steps_for(cycle.duration_s, dt)
+            else StopReason.MAX_TIME
+        ),
     )
     ledger_j = (e_out, e_regen, e_kin, e_roll, e_aero, e_fric, e_drive, e_resist)
     ledger = EnergyLedger(*(e / 3.6e6 for e in ledger_j))

@@ -80,7 +80,7 @@ def test_emit_trace_three_steps_gives_four_lines(tmp_path, config, udds):
 
 
 def test_emit_trace_empty_gives_header_only(tmp_path, config, udds):
-    trace, _, _ = run(config, udds, stop_at_soc=config.battery.initial_soc)
+    trace, _, _ = run(with_overrides(config, sim={"max_sim_time": 1e-9}), udds)
     path = tmp_path / "empty.csv"
     emit_trace(trace, str(path))
     assert path.read_text() == EXPECTED_HEADER + "\n"
@@ -266,7 +266,11 @@ def _float_flags():
 
 
 # Flags that override a config field are reported under the field's name.
-_OVERRIDDEN_FIELD = {"--dt": "sim.dt", "--regen-eff": "drivetrain.regen_efficiency"}
+_OVERRIDDEN_FIELD = {
+    "--dt": "sim.dt",
+    "--regen-eff": "drivetrain.regen_efficiency",
+    "--until-soc": "battery.soc_floor",
+}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -473,7 +477,13 @@ def test_range_compare_regen_reports_gain(small_config_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["simulate"], ["range", "--until-soc", "0.85"]], ids=["simulate", "range"]
+    "argv",
+    [
+        ["simulate"],
+        ["range", "--until-soc", "0.85"],
+        ["range", "--compare-regen", "--until-soc", "0.85"],
+    ],
+    ids=["simulate", "range", "range-compare"],
 )
 def test_no_regen_prints_the_bytes_of_zero_regen_efficiency(capsys, argv):
     outputs = []
@@ -481,8 +491,23 @@ def test_no_regen_prints_the_bytes_of_zero_regen_efficiency(capsys, argv):
         assert main(argv + flags) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    if argv[0] == "range":
-        assert json.loads(outputs[0])["report"]["regen_enabled"] is False
+    doc = json.loads(outputs[0])
+    if "report" in doc:
+        assert doc["report"]["regen_enabled"] is False
+    elif "reports" in doc:
+        assert [leg["regen_enabled"] for leg in doc["reports"].values()] == [False] * 2
+        assert doc["gain_percent"] == 0.0
+
+
+@pytest.mark.parametrize("extra", [[], ["--compare-regen"]], ids=["one-leg", "compare"])
+def test_until_soc_prints_the_bytes_of_the_config_floor(tmp_path, capsys, extra):
+    path = tmp_path / "floor.json"
+    path.write_text('{"battery": {"soc_floor": 0.85}}')
+    outputs = []
+    for flags in (["--until-soc", "0.85"], ["--config", str(path)]):
+        assert main(["range"] + extra + flags) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_range_single_leg_with_outputs(tmp_path, small_config_path, capsys):
@@ -506,15 +531,19 @@ def test_range_single_leg_with_outputs(tmp_path, small_config_path, capsys):
 
 
 def test_range_conflicts(small_config_path, capsys):
+    # --no-regen spells --regen-eff 0, so --compare-regen takes either one
+    # (see test_no_regen_prints_the_bytes_of_zero_regen_efficiency), but not
+    # both together.
     code = main(
         [
             "range",
             "--config", small_config_path,
             "--compare-regen",
             "--no-regen",
+            "--regen-eff", "0.5",
         ]
     )
-    assert code == 1
+    _assert_one_line_error(capsys, code, "--no-regen conflicts with --regen-eff")
 
 
 @pytest.mark.parametrize("flag", ["--out", "--plot"])
@@ -548,14 +577,26 @@ def test_range_rejects_floor_above_initial_soc(small_config_path, capsys):
     code = main(
         ["range", "--config", small_config_path, "--until-soc", "0.95"]
     )
-    assert code == 1
-    assert "--until-soc" in capsys.readouterr().err
+    _assert_one_line_error(
+        capsys, code,
+        "battery.soc_floor: must satisfy soc_floor < initial_soc (got 0.95 >= 0.9)",
+    )
 
 
-@pytest.mark.parametrize("floor", ["-0.5", "0.9"])
-def test_range_rejects_floor_outside_unit_range(small_config_path, capsys, floor):
+# --until-soc overrides battery.soc_floor and is held to the config's rules.
+@pytest.mark.parametrize(
+    "floor, expected",
+    [
+        ("-0.5", "battery.soc_floor: must be in [0, 1] (got -0.5)"),
+        ("0.9", "battery.soc_floor: must satisfy soc_floor < initial_soc"),
+    ],
+    ids=["-0.5", "0.9"],
+)
+def test_range_rejects_floor_outside_unit_range(
+    small_config_path, capsys, floor, expected
+):
     code = main(["range", "--config", small_config_path, f"--until-soc={floor}"])
-    _assert_one_line_error(capsys, code, "--until-soc must lie in [0, 0.9)")
+    _assert_one_line_error(capsys, code, expected)
 
 
 def test_accel_command(capsys, tmp_path):
@@ -720,7 +761,7 @@ def test_report_plots_draw_their_title_and_legend(config, tmp_path, kind, title,
 
 
 def test_plot_rejects_empty_trace(config, udds, tmp_path):
-    empty, _, _ = run(config, udds, stop_at_soc=config.battery.initial_soc)
+    empty, _, _ = run(with_overrides(config, sim={"max_sim_time": 1e-9}), udds)
     target = tmp_path / "never.svg"
     with pytest.raises(PlotError):
         emit_plot(empty, "tracking", str(target))

@@ -108,13 +108,11 @@ def _run_and_step_match_reference(config, cycle, n, **options):
     """run() for n steps from rest and iterated step() both equal the
     reference on every record; run()'s summary and ledger equal the
     reference run's, floats compared as hex. run() is bounded by
-    sim.max_sim_time, which ends a cycle on its last step at its cycle end."""
+    sim.max_sim_time."""
     _step_matches_reference(config, cycle, n, **options)
     records, want_summary, want_ledger = reference_run(config, cycle, n, **options)
     bounded = with_overrides(config, sim={"max_sim_time": n * config.sim.dt})
     trace, summary, ledger = run(bounded, cycle, **options)
-    if n == engine._steps_for(cycle.duration_s, config.sim.dt):
-        want_summary = want_summary._replace(stop_reason=StopReason.CYCLE_END)
     assert len(trace) == n
     for i, want in enumerate(records):
         assert _bits(trace.record(i)) == _bits(want), f"run() diverges at step {i}"
@@ -515,15 +513,11 @@ def _chunk_scenario(config, name):
     """(config, cycle, kernel options: those fixed at creation and the
     command sent with each chunk)."""
     if name == "wraps":
-        return config, _SHORT, dict(stop_at_soc=None, repeat=True, pinned_command=None)
+        return config, _SHORT, dict(repeat=True, pinned_command=None)
     if name == "stop-clamp":
-        return _clamp_config(config), _SAWTOOTH, dict(
-            stop_at_soc=None, repeat=False, pinned_command=None
-        )
-    tiny = with_overrides(config, battery={"capacity_energy": 0.2})
-    return _regen_off(tiny), _LAUNCH, dict(
-        stop_at_soc=0.85, repeat=True, pinned_command=None
-    )
+        return _clamp_config(config), _SAWTOOTH, dict(repeat=False, pinned_command=None)
+    tiny = with_overrides(config, battery={"capacity_energy": 0.2, "soc_floor": 0.85})
+    return _regen_off(tiny), _LAUNCH, dict(repeat=True, pinned_command=None)
 
 
 def _hex(values):
@@ -546,10 +540,7 @@ def test_kernel_resumed_in_chunks_equals_one_call(
     sent = (options["pinned_command"],)
 
     def kernel():
-        primed = engine._advance(
-            cfg, cycle, start, options["stop_at_soc"], options["repeat"],
-            trace_every,
-        )
+        primed = engine._advance(cfg, cycle, start, options["repeat"], trace_every)
         next(primed)
         return primed
 
@@ -739,10 +730,11 @@ def test_ledger_regen_energy_flows(config, udds):
 
 
 def test_a_run_stopped_before_its_first_step_is_empty(config, udds):
-    # A floor at the initial soc stops the kernel before its first step.
-    trace, summary, ledger = run(config, udds, stop_at_soc=config.battery.initial_soc)
+    # A time bound shorter than one step stops the kernel before its first.
+    cfg = with_overrides(config, sim={"max_sim_time": 1e-9})
+    trace, summary, ledger = run(cfg, udds)
     assert len(trace) == 0
-    assert summary.stop_reason is StopReason.SOC_FLOOR
+    assert summary.stop_reason is StopReason.MAX_TIME
     assert summary.duration_s == 0.0
     assert ledger.battery_out == 0.0
     assert ledger_check(ledger).passed
@@ -750,8 +742,8 @@ def test_a_run_stopped_before_its_first_step_is_empty(config, udds):
 
 def test_stop_reason_priority(config, udds):
     # soc floor beats the time limit; the time limit beats cycle end.
-    tiny = with_overrides(config, battery={"capacity_energy": 0.2})
-    _, summary, _ = run(tiny, udds, stop_at_soc=0.88, repeat=True)
+    tiny = with_overrides(config, battery={"capacity_energy": 0.2, "soc_floor": 0.88})
+    _, summary, _ = run(tiny, udds, repeat=True)
     assert summary.stop_reason is StopReason.SOC_FLOOR
     assert summary.soc_end <= 0.88
 
@@ -849,7 +841,7 @@ def test_trace_collection_peaks_below_300_bytes_per_kept_row(config, udds):
     # One flat buffer, sliced into its columns at the end of the chunk: the
     # buffer (about 128 B a row) and the columns (120 B) are all it holds.
     cfg = with_overrides(config, sim={"max_sim_time": 5 * 1369.0})
-    run(cfg, udds, stop_at_soc=1.0)  # the config's invariants, hoisted
+    engine._invariants(cfg)  # hoisted before tracing starts
     tracemalloc.start()
     try:
         trace, _, _ = run(cfg, udds, repeat=True, trace_every=1)

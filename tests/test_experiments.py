@@ -10,6 +10,7 @@ import pytest
 from step_reference import euler_accel_time, soc_dynamics_report
 
 from bevsim import (
+    ConfigError,
     DegenerateVoltageError,
     DriveCycle,
     UnreachableTargetError,
@@ -389,7 +390,8 @@ def test_design_speed_for_published_rating(config):
 
 def _range_floor(cfg, floor):
     trapezoid = synth_trapezoid(50.0, 10.0, 10.0)
-    return range_test_detailed(cfg, trapezoid, soc_floor=floor)[0]
+    floored = with_overrides(cfg, battery={"soc_floor": floor})
+    return range_test_detailed(floored, trapezoid)[0]
 
 
 _SCALAR_ENTRY_POINTS = (
@@ -415,7 +417,8 @@ _SCALAR_ENTRY_POINTS = (
 def test_scalar_entry_points_reject_bad_values_up_front(config, call, bad):
     # Rejected before any simulation or search: a NaN target must not run
     # the engine, and a NaN power must not bisect to a meaningless speed.
-    with pytest.raises(ValueError):
+    # A range's floor is the config's battery.soc_floor, held to its rules.
+    with pytest.raises(ConfigError if call is _range_floor else ValueError):
         call(config, bad)
 
 
@@ -439,9 +442,13 @@ def test_range_terminates_near_floor(small_battery_config, udds):
 
 
 def test_range_rejects_initial_soc_at_floor(small_battery_config, udds):
-    bad = with_overrides(small_battery_config, battery={"initial_soc": 0.2})
-    with pytest.raises(ValueError):
-        range_test_detailed(bad, udds, soc_floor=0.2)
+    bad = with_overrides(
+        small_battery_config, battery={"initial_soc": 0.2, "soc_floor": 0.2}
+    )
+    with pytest.raises(ConfigError, match="soc_floor < initial_soc"):
+        range_test_detailed(bad, udds)
+    with pytest.raises(ConfigError, match="soc_floor < initial_soc"):
+        _regen_lanes(bad, udds)
 
 
 def test_range_monotone_in_capacity(small_battery_config, udds):
@@ -494,12 +501,12 @@ def _bits(report):
     return [x.hex() if isinstance(x, float) else x for x in report]
 
 
-def _assert_lanes_match_serial_legs(cfg, cycle, floor=None):
+def _assert_lanes_match_serial_legs(cfg, cycle):
     """The two-lane pass gives each serial leg's report and ledger, bit for
     bit; returns the two reports."""
-    lanes = _regen_lanes(cfg, cycle, floor)
+    lanes = _regen_lanes(cfg, cycle)
     for regen, (report, ledger) in zip((True, False), lanes):
-        want, _, _, want_ledger = range_test_detailed(cfg, cycle, regen, floor)
+        want, _, _, want_ledger = range_test_detailed(cfg, cycle, regen)
         assert _bits(report) == _bits(want), (cfg, regen)
         assert _bits(ledger) == _bits(want_ledger), (cfg, regen)
     return lanes[0][0], lanes[1][0]
@@ -521,12 +528,15 @@ def test_regen_lanes_stop_on_one_step_without_recovery(small_battery_config, udd
 
 
 def test_regen_lanes_with_a_floor_inside_the_first_cycle(small_battery_config, udds):
-    on, off = _assert_lanes_match_serial_legs(small_battery_config, udds, 0.89)
+    def floored(floor):
+        return with_overrides(small_battery_config, battery={"soc_floor": floor})
+
+    on, off = _assert_lanes_match_serial_legs(floored(0.89), udds)
     assert on.cycles_completed == off.cycles_completed == 0
     assert on.distance_km > off.distance_km
     # A floor the regen-off leg's soc lands on exactly stops it on that step.
     exact = off.soc_end
-    _, off = _assert_lanes_match_serial_legs(small_battery_config, udds, exact)
+    _, off = _assert_lanes_match_serial_legs(floored(exact), udds)
     assert off.soc_end == exact
 
 
@@ -584,11 +594,13 @@ def test_depletion_stopping_on_its_voltage_collapse_raises(udds):
     # A vanishing motor efficiency draws an infinite current on the first
     # motoring step: the soc clamps to 0 and the floor stops the run on the
     # step whose voltage collapsed, so no next step would raise.
-    cfg = with_overrides(default_config(), motor={"efficiency": 5e-324})
+    cfg = with_overrides(
+        default_config(), motor={"efficiency": 5e-324}, battery={"soc_floor": 0.85}
+    )
     with pytest.raises(DegenerateVoltageError, match="-inf V below 1 V floor"):
-        range_test_detailed(cfg, udds, soc_floor=0.85)
+        range_test_detailed(cfg, udds)
     with pytest.raises(DegenerateVoltageError, match="-inf V below 1 V floor"):
-        _regen_lanes(cfg, udds, 0.85)
+        _regen_lanes(cfg, udds)
 
 
 def test_regen_comparison_ignores_parallel(small_battery_config, udds):
