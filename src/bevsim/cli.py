@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import experiments
-from .cycle import DriveCycle, cycle_stats, load_udds, parse_cycle, repeat
+from .cycle import DriveCycle, cycle_stats, load_udds, parse_cycle
 from .engine import (
     TRACE_FIELDS,
     EnergyLedger,
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--repeat", type=int, default=1, metavar="N",
-        help="repeat the cycle N times (default 1)",
+        help="drive the cycle N times, N > 1 stopping at the SoC floor (default 1)",
     )
     p.set_defaults(func=cmd_simulate)
 
@@ -284,16 +284,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--repeat must be >= 1 (got {args.repeat})")
     if args.every < 1:
         raise ConfigError(f"--every must be >= 1 (got {args.every})")
-    if (args.repeat - 1) * cycle.duration_s >= config.sim.max_sim_time:
-        # Checked before the copies are built: the last could never run.
-        raise ConfigError(
-            f"--repeat {args.repeat} starts its last copy at or past "
-            f"sim.max_sim_time ({config.sim.max_sim_time:g} s)"
-        )
-    if args.repeat > 1:
-        cycle = repeat(cycle, args.repeat)
-    trace_every = args.every if (args.out or args.plot) else 0
-    trace, summary, ledger = run(config, cycle, trace_every=trace_every)
+    every = args.every if (args.out or args.plot) else 0
+    trace, summary, ledger = run(config, cycle, passes=args.repeat, trace_every=every)
     if args.out:
         emit_trace(trace, args.out)
     if args.plot:

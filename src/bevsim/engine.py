@@ -43,7 +43,8 @@ by ``send((n, pinned_command))``, which yields the end ``SimState``. What
 it accumulates (ledger sums, tracking-error maximum, cycle cursor, step
 index) stays in the frame between chunks, so a resumed kernel gives the
 bits of one unsplit call. ``run`` sends one chunk for a
-whole run, from ``initial_state(config)``; the experiments' acceleration
+whole run, from ``initial_state(config)`` (N passes: a repeating kernel's
+chunk of N cycle durations); the experiments' acceleration
 and top-speed scenarios send chunks at full throttle until they have what
 their reports need. ``step`` sends one-step chunks with no trace
 collection: handed back the exact state object it last returned, with the
@@ -325,26 +326,25 @@ def run(
     cycle: DriveCycle,
     *,
     regen_enabled: bool = True,
-    repeat: bool = False,
+    passes: int | None = 1,
     pinned_command: float | None = None,
     trace_every: int = 1,
 ) -> tuple[SimTrace, SimSummary, EnergyLedger]:
     """Run the closed loop from ``initial_state`` until a stop condition.
 
-    With ``repeat=True`` the cycle wraps around until battery.soc_floor or
-    the time limit; a single pass has no soc floor. sim.max_sim_time
-    bounds every run: a repeated run, and a single pass whose cycle is
-    longer. Stop priority on one step: soc floor, then cycle end, then max
-    time. ``trace_every`` keeps every Nth record (0 disables collection;
-    the ledger and summary always run at full rate). ``regen_enabled=False`` runs the config with
-    regen_efficiency 0; ROADMAP item 1 can drop the keyword with its
-    benchmark callers.
+    ``passes`` N runs the steps of N cycle durations, the cycle wrapping
+    in the kernel (None: without end); a repeated run stops early at
+    battery.soc_floor, a single pass has no floor, sim.max_sim_time bounds
+    every run. Stop priority on one step: soc floor, then cycle end, then
+    max time. ``trace_every`` keeps every Nth record (0 disables
+    collection; the ledger and summary always run at full rate).
+    ``regen_enabled=False`` runs the config with regen_efficiency 0; ROADMAP
+    item 1 can drop the keyword with its benchmark callers.
 
     Raises:
         ConfigError: If the config fails validation.
-        CycleError: If ``repeat`` is set and the cycle is shorter than one
-            step.
-        ValueError: If ``trace_every`` is negative.
+        CycleError: If a repeated cycle is shorter than one step.
+        ValueError: If ``passes`` is below 1 or ``trace_every`` negative.
         DegenerateVoltageError: If the terminal voltage collapses (below
             1 V), the last step included.
     """
@@ -353,17 +353,24 @@ def run(
         config = config._replace(
             drivetrain=config.drivetrain._replace(regen_efficiency=0.0)
         )
+    repeat = passes != 1
     kernel = _advance(config, cycle, initial_state(config), repeat, trace_every)
     next(kernel)  # validates the config first
     if trace_every < 0:
         raise ValueError(f"trace_every must be >= 0 (got {trace_every})")
+    if passes is not None and passes < 1:
+        raise ValueError(f"passes must be >= 1 (got {passes})")
 
     bat = config.battery
     dt = config.sim.dt
     duration = cycle.duration_s
+    bound = config.sim.max_sim_time
 
-    cycle_steps = math.inf if repeat else _steps_for(duration, dt)
-    time_steps = _steps_for(config.sim.max_sim_time, dt)
+    time_steps = _steps_for(bound, dt)
+    # Clipped to the bound (plus a pass) before it multiplies: never inf.
+    cycle_steps = math.inf if passes is None else _steps_for(
+        min(passes, bound / duration + 1.0) * duration, dt
+    )
     end, cols, ledger_j, max_err, _ = kernel.send(
         (min(cycle_steps, time_steps), pinned_command)
     )

@@ -170,7 +170,7 @@ def range_test_detailed(
     """Repeat the cycle until battery.soc_floor; also return
     trace/summary/ledger."""
     trace, summary, ledger = run(
-        config, cycle, regen_enabled=regen_enabled, repeat=True, trace_every=trace_every
+        config, cycle, regen_enabled=regen_enabled, passes=None, trace_every=trace_every
     )
     report = RangeReport(
         distance_km=summary.distance_km,
@@ -357,8 +357,6 @@ def _net_force(
     v_cap = mtr.max_speed / rpm_per
     force_per_nm = d.gear_ratio * d.transmission_efficiency / b.wheel_radius
     kw_rpm = RPM_KW_CONSTANT * mtr.max_power
-    mg = b.mass * b.gravity
-    cd_af = b.drag_coefficient * b.frontal_area
 
     def net_force(v: float) -> float:
         rpm = rpm_per * v
@@ -368,14 +366,13 @@ def _net_force(
             tau = min(mtr.max_torque, kw_rpm / rpm)
         else:
             tau = mtr.max_torque
-        x = v / 100.0
         try:
-            rr = mg * (b.f0 + b.f1 * x + b.f4 * x**4)
-        except OverflowError:  # only x**4 raises; the rest turn inf
+            rr = rolling_resistance(b, v)
+        except OverflowError:  # only its x**4 raises; the rest turn inf
             raise OverflowError(
                 f"rolling resistance overflowed (speed {v:g} km/h)"
             ) from None
-        return tau * force_per_nm - rr - cd_af * v * v / 21.15
+        return tau * force_per_nm - rr - aero_drag(b, v)
 
     return net_force, v_cap, kw_rpm / mtr.max_torque / rpm_per
 

@@ -50,6 +50,8 @@ def test_all_is_sorted_unique_and_resolves():
     for name in names:
         assert hasattr(bevsim, name), name
     assert REMOVED.isdisjoint(names)
+    # run(passes=N) repeats a cycle; cycle.repeat stays only for perfbench.
+    assert not hasattr(bevsim, "repeat")
 
 
 def test_removed_names_are_not_defined_in_the_package():

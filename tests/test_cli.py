@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevsim import PlotError, cli, parse_config, run, synth_trapezoid
+from bevsim import PlotError, parse_config, run, synth_trapezoid
 from bevsim.cli import build_parser, emit_trace, main
 from bevsim.cycle import serialize_cycle
 from bevsim.engine import TRACE_FIELDS, SimTrace
@@ -427,17 +427,19 @@ def test_compare_regen_ledger_that_does_not_close_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("extra", [[], ["--compare-regen"]], ids=["one-leg", "compare"])
-def test_range_over_a_cycle_shorter_than_one_step_exits_one(tmp_path, capsys, extra):
+@pytest.mark.parametrize(
+    "argv",
+    [["range"], ["range", "--compare-regen"], ["simulate", "--repeat", "2"]],
+    ids=["one-leg", "compare", "simulate-repeat"],
+)
+def test_range_over_a_cycle_shorter_than_one_step_exits_one(tmp_path, capsys, argv):
     # Repeated, each 0.1 s step would wrap a 0.05 s cycle twice; at 1e-300 s
-    # it would wrap without bound.
+    # it would wrap without bound. simulate --repeat repeats as range does.
     cycle = tmp_path / "blip.csv"
     cycle.write_text("t_s,v_kmh\n0,0\n0.05,0\n")
     config = tmp_path / "vehicle.json"
     config.write_text('{"sim": {"max_sim_time": 5}}')
-    code = main(
-        ["range", "--cycle", str(cycle), "--config", str(config)] + extra
-    )
+    code = main(argv + ["--cycle", str(cycle), "--config", str(config)])
     _assert_one_line_error(capsys, code, "a repeated cycle must last at least one step")
 
 
@@ -678,34 +680,47 @@ def test_simulate_repeat_flag(short_cycle_path, capsys):
 
 def test_simulate_repeat_counts_every_pass(capsys):
     # The clock drifts below 20 * 1369 s; the count goes by steps.
-    for n in ("3", "20"):
-        assert main(["simulate", "--repeat", n]) == 0
-        summary = json.loads(capsys.readouterr().out)["summary"]
-        assert summary["cycles_completed"] == 1
+    for n in (3, 20):
+        assert main(["simulate", "--repeat", str(n)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        summary = payload["summary"]
+        assert summary["cycles_completed"] == n
         assert summary["stop_reason"] == "cycle_end"
+        # The cycle block describes the cycle as given, not n copies.
+        assert payload["cycle"]["name"] == "udds"
+        assert payload["cycle"]["duration_s"] == 1369.0
+    assert summary["duration_s"] == 27379.99999988206
 
 
-def test_simulate_repeat_past_max_sim_time_exits_one(
-    tmp_path, short_cycle_path, capsys, monkeypatch
+def test_simulate_repeat_past_max_sim_time_stops_at_the_bound(
+    tmp_path, short_cycle_path, capsys
 ):
-    # The cycle lasts 25 s, so with a 50 s bound a third copy would start
-    # on the bound: refused before any copy is built.
+    # The cycle lasts 25 s, so a 50 s bound ends a third pass before it
+    # starts, and two passes end on the bound's last step, as a cycle end.
+    # A count too large for a float is clipped to the bound before it
+    # multiplies the cycle's duration.
     config = tmp_path / "vehicle.json"
     config.write_text('{"sim": {"max_sim_time": 50}}')
     args = ["simulate", "--config", str(config), "--cycle", short_cycle_path]
+    for n in ("3", "1000000000", "1" + "0" * 400, "2"):
+        assert main(args + ["--repeat", n]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["duration_s"] == pytest.approx(50.0, abs=1e-6)
+        assert summary["cycles_completed"] == 2
+        assert summary["stop_reason"] == ("cycle_end" if n == "2" else "max_time")
 
-    def no_repeat(*_):
-        raise AssertionError("cycle.repeat called")
 
-    monkeypatch.setattr(cli, "repeat", no_repeat)
-    for n in ("3", "1000000000"):
-        code = main(args + ["--repeat", n])
-        _assert_one_line_error(capsys, code, "sim.max_sim_time")
-    monkeypatch.undo()
-    assert main(args + ["--repeat", "2"]) == 0
+def test_simulate_repeat_stops_at_the_soc_floor(tmp_path, capsys):
+    # A 1 kWh battery cannot drive three UDDS passes: a repeated run stops
+    # at battery.soc_floor instead of driving on an empty battery.
+    config = tmp_path / "vehicle.json"
+    config.write_text('{"battery": {"capacity_energy": 1.0}}')
+    assert main(["simulate", "--config", str(config), "--repeat", "3"]) == 0
     summary = json.loads(capsys.readouterr().out)["summary"]
-    assert summary["duration_s"] == pytest.approx(50.0, abs=1e-6)
-    assert summary["stop_reason"] == "cycle_end"
+    assert summary["stop_reason"] == "soc_floor"
+    assert 0.09 < summary["soc_end"] <= 0.1
+    assert summary["energy_out_kwh"] < 0.9
+    assert summary["cycles_completed"] == 0
 
 
 def test_every_subcommand_documents_every_flag():

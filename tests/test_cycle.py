@@ -13,10 +13,10 @@ from bevsim import (
     DriveCycle,
     cycle_stats,
     parse_cycle,
-    repeat,
     serialize_cycle,
     synth_trapezoid,
 )
+from bevsim.cycle import repeat
 
 
 def test_parse_three_samples():

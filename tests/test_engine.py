@@ -25,6 +25,7 @@ from bevsim import (
     synth_trapezoid,
 )
 from bevsim import engine
+from bevsim.cycle import repeat
 from bevsim.engine import TRACE_FIELDS, SimTrace
 from bevsim.params import with_overrides
 
@@ -212,7 +213,7 @@ def test_repeat_cursor_matches_target_speed_over_wraps(config):
     # double at the query time of the kernel's wrap rule.
     cycle = _SHORT
     cfg = with_overrides(config, sim={"max_sim_time": 30.0})
-    trace, _, _ = run(cfg, cycle, repeat=True)
+    trace, _, _ = run(cfg, cycle, passes=None)
     assert len(trace) == 300
     duration = cycle.duration_s
     wraps = 0
@@ -377,9 +378,9 @@ def test_step_rejects_an_invalid_config(config, udds, change, field):
 def test_a_repeated_cycle_shorter_than_one_step_is_refused(config):
     cfg = with_overrides(config, sim={"max_sim_time": 2.0})
     with pytest.raises(CycleError, match="must last at least one step of 0.1 s"):
-        run(cfg, DriveCycle("blip", (0.0, 0.05), (0.0, 0.0)), repeat=True)
+        run(cfg, DriveCycle("blip", (0.0, 0.05), (0.0, 0.0)), passes=None)
     # One step long is enough: every step wraps once.
-    _, summary, _ = run(cfg, DriveCycle("tick", (0.0, 0.1), (0.0, 0.0)), repeat=True)
+    _, summary, _ = run(cfg, DriveCycle("tick", (0.0, 0.1), (0.0, 0.0)), passes=None)
     assert summary.cycles_completed == 20
     assert summary.stop_reason is StopReason.MAX_TIME
 
@@ -743,7 +744,7 @@ def test_a_run_stopped_before_its_first_step_is_empty(config, udds):
 def test_stop_reason_priority(config, udds):
     # soc floor beats the time limit; the time limit beats cycle end.
     tiny = with_overrides(config, battery={"capacity_energy": 0.2, "soc_floor": 0.88})
-    _, summary, _ = run(tiny, udds, repeat=True)
+    _, summary, _ = run(tiny, udds, passes=None)
     assert summary.stop_reason is StopReason.SOC_FLOOR
     assert summary.soc_end <= 0.88
 
@@ -778,7 +779,7 @@ def test_single_pass_is_bounded_by_max_sim_time(config):
 
 def test_repeat_mode_counts_cycles(config, udds):
     cfg = with_overrides(config, sim={"max_sim_time": 3000.0})
-    _, summary, _ = run(cfg, udds, repeat=True)
+    _, summary, _ = run(cfg, udds, passes=None)
     assert summary.stop_reason is StopReason.MAX_TIME
     assert summary.cycles_completed == 2
     # two full cycles plus 262 s of a third
@@ -800,9 +801,28 @@ def test_repeat_mode_counts_cycles_by_step(config, udds, n):
     if n == 20:
         assert t < n * udds.duration_s
         cfg = with_overrides(config, sim={"max_sim_time": n * udds.duration_s})
-        _, summary, _ = run(cfg, udds, repeat=True)
+        _, summary, _ = run(cfg, udds, passes=None)
         assert summary.duration_s == t
         assert summary.cycles_completed == n
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_passes_equal_a_concatenated_cycle_but_count_every_pass(config, udds, n):
+    # UDDS is closed (it starts and ends at rest), so its concatenation has
+    # no join knots: N kernel passes give its bits, and count N.
+    trace, summary, ledger = run(config, udds, passes=n)
+    ref_trace, ref_summary, ref_ledger = run(config, repeat(udds, n))
+    for field in TRACE_FIELDS:
+        assert _hex(getattr(trace, field)) == _hex(getattr(ref_trace, field)), field
+    assert _bits(ledger) == _bits(ref_ledger)
+    assert summary.cycles_completed == n and ref_summary.cycles_completed == 1
+    assert _bits(summary._replace(cycles_completed=1)) == _bits(ref_summary)
+    assert summary.stop_reason is StopReason.CYCLE_END
+
+
+def test_passes_must_be_at_least_one(config, udds):
+    with pytest.raises(ValueError, match="passes must be >= 1"):
+        run(config, udds, passes=0)
 
 
 def test_trace_is_a_frozen_value(config):
@@ -844,7 +864,7 @@ def test_trace_collection_peaks_below_300_bytes_per_kept_row(config, udds):
     engine._invariants(cfg)  # hoisted before tracing starts
     tracemalloc.start()
     try:
-        trace, _, _ = run(cfg, udds, repeat=True, trace_every=1)
+        trace, _, _ = run(cfg, udds, passes=None, trace_every=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -214,7 +214,7 @@ def _accel_over_full_cap(config, target_kmh):
         with_overrides(config, sim={"max_sim_time": _FULL_THROTTLE_TIME_CAP_S}),
         _full_throttle_cycle(),
         pinned_command=1.0,
-        repeat=True,
+        passes=None,
     )
     t_cross, idx = _crossing_time(trace.t_s, trace.v_kmh, target_kmh)
     if t_cross is None:
@@ -284,7 +284,7 @@ def test_accel_crossing_just_past_the_cap_is_unreachable(config):
     heavy = with_overrides(config, body={"mass": 90_000.0, "f0": 0.0})
     trace, _, _ = run(
         with_overrides(heavy, sim={"max_sim_time": 900.0}), _full_throttle_cycle(),
-        pinned_command=1.0, repeat=True,
+        pinned_command=1.0, passes=None,
     )
     assert _crossing_time(trace.t_s, trace.v_kmh, 100.0)[0] < 900.0
     assert _accel_over_full_cap(heavy, 100.0) is None
