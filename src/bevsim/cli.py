@@ -39,14 +39,11 @@ SCHEMA_VERSION = 1
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help; remap its usage errors to exit 1.
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # --help: the parser raises its usage errors instead
+        return 0
     except (ConfigError, CycleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -56,51 +53,78 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ``ConfigError``: one ``error:``
+    line and exit 1, not argparse's usage block. Subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _flag_value(convert, rule: str, holds):
+    """An argparse type that converts a flag's text with ``convert`` and
+    refuses a value that fails ``holds``, naming the ``rule``."""
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule} (got {text})")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse: "invalid float value: 'x'"
+    return parse
+
+
+_POSITIVE = _flag_value(float, "finite and > 0", lambda x: 0.0 < x < math.inf)
+_NON_NEGATIVE = _flag_value(float, "finite and >= 0", lambda x: 0.0 <= x < math.inf)
+_COUNT = _flag_value(int, ">= 1", lambda n: n >= 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Each subcommand takes only the flags it reads; a flag's type is its
+    one rule, except the config overrides (--dt, --regen-eff, --until-soc),
+    which the config's own rules judge under their field names."""
+    parser = _Parser(
         prog="bevsim",
         description="Battery-electric vehicle longitudinal dynamics simulator.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument(
         "--config", metavar="PATH",
         help="vehicle config JSON (defaults to the built-in configuration)",
     )
-    common.add_argument(
+    stepped = argparse.ArgumentParser(add_help=False, parents=[configured])
+    stepped.add_argument(
+        "--dt", type=float, metavar="S", help="override the integration step [s]",
+    )
+    driven = argparse.ArgumentParser(add_help=False, parents=[stepped])
+    driven.add_argument(
         "--cycle", metavar="PATH",
         help="drive-cycle CSV with header t_s,v_kmh (defaults to bundled UDDS)",
     )
-    common.add_argument(
-        "--dt", type=float, metavar="S", help="override the integration step [s]",
-    )
-    common.add_argument(
-        "--no-regen", action="store_true",
-        help="disable battery charging from regenerative braking (--regen-eff 0)",
-    )
-    common.add_argument(
+    driven.add_argument(
         "--regen-eff", type=float, metavar="F",
-        help="override the regenerative recovery efficiency (conflicts with --no-regen)",
+        help="override the regenerative recovery efficiency (0: regen off)",
     )
 
     p = sub.add_parser(
-        "simulate", parents=[common], help="run a drive cycle once (or repeated)",
+        "simulate", parents=[driven], help="run a drive cycle once (or repeated)",
     )
     p.add_argument("--out", metavar="PATH", help="write the per-step trace CSV here")
     p.add_argument("--plot", metavar="PATH", help="write a tracking SVG here")
     p.add_argument(
-        "--every", type=int, default=1, metavar="N",
+        "--every", type=_COUNT, default=1, metavar="N",
         help="keep every Nth trace record (default 1)",
     )
     p.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
+        "--repeat", type=_COUNT, default=1, metavar="N",
         help="drive the cycle N times, N > 1 stopping at the SoC floor (default 1)",
     )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
-        "range", parents=[common],
+        "range", parents=[driven],
         help="repeat the cycle until the SoC floor and report range",
     )
     p.add_argument(
@@ -114,42 +138,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="write the trace CSV here")
     p.add_argument("--plot", metavar="PATH", help="write a distance/SoC SVG here")
     p.add_argument(
-        "--every", type=int, default=10, metavar="N",
+        "--every", type=_COUNT, default=10, metavar="N",
         help="keep every Nth trace record (default 10)",
     )
     p.set_defaults(func=cmd_range)
 
     p = sub.add_parser(
-        "accel", parents=[common], help="full-throttle time to a target speed",
+        "accel", parents=[stepped], help="full-throttle time to a target speed",
     )
     p.add_argument(
-        "--target", type=float, default=100.0, metavar="KMH",
+        "--target", type=_NON_NEGATIVE, default=100.0, metavar="KMH",
         help="target speed [km/h] (default 100)",
     )
     p.add_argument("--plot", metavar="PATH", help="write an acceleration SVG here")
     p.set_defaults(func=cmd_accel)
 
     p = sub.add_parser(
-        "topspeed", parents=[common],
+        "topspeed", parents=[stepped],
         help="full-throttle settled top speed vs the force-balance oracle",
     )
     p.add_argument(
-        "--duration", type=float, default=120.0, metavar="S",
+        "--duration", type=_POSITIVE, default=120.0, metavar="S",
         help="settling time to simulate [s] (default 120)",
     )
     p.add_argument("--plot", metavar="PATH", help="write a top-speed SVG here")
     p.set_defaults(func=cmd_topspeed)
 
     p = sub.add_parser(
-        "size-motor", parents=[common],
+        "size-motor", parents=[configured],
         help="steady-state cruising power for a design speed (and the inverse)",
     )
     p.add_argument(
-        "--speed", type=float, metavar="KMH",
+        "--speed", type=_POSITIVE, metavar="KMH",
         help="design speed [km/h] to size for (default 120 if --power absent)",
     )
     p.add_argument(
-        "--power", type=float, metavar="KW",
+        "--power", type=_POSITIVE, metavar="KW",
         help="solve for the speed this power rating sustains [kW]",
     )
     p.set_defaults(func=cmd_size_motor)
@@ -158,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_defaults)
 
     p = sub.add_parser(
-        "validate", parents=[common], help="validate a config file",
+        "validate", parents=[configured], help="validate a config file",
     )
     p.set_defaults(func=cmd_validate)
     return parser
@@ -166,13 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> VehicleConfig:
     """The subcommand's config: the file or the defaults, with the flag
-    overrides applied and validated, and every numeric flag checked."""
-    regen_eff = getattr(args, "regen_eff", None)
-    if getattr(args, "no_regen", False):
-        if regen_eff is not None:
-            raise ConfigError("--no-regen conflicts with --regen-eff")
-        regen_eff = 0.0  # --no-regen spells --regen-eff 0
-    if getattr(args, "config", None):
+    overrides applied and validated."""
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
@@ -184,8 +203,8 @@ def _load_config(args) -> VehicleConfig:
     overrides = {}
     if getattr(args, "dt", None) is not None:
         overrides["sim"] = {"dt": args.dt}
-    if regen_eff is not None:
-        overrides["drivetrain"] = {"regen_efficiency": regen_eff}
+    if getattr(args, "regen_eff", None) is not None:
+        overrides["drivetrain"] = {"regen_efficiency": args.regen_eff}
     if getattr(args, "until_soc", None) is not None:
         overrides["battery"] = {"soc_floor": args.until_soc}
     if overrides:
@@ -195,34 +214,11 @@ def _load_config(args) -> VehicleConfig:
             raise ConfigError(
                 "invalid configuration after overrides: " + "; ".join(violations)
             )
-    _check_numeric_flags(args)
     return config
 
 
-# Domain rules of the float flags that are not config fields.
-_POSITIVE_FLAGS = ("duration", "speed", "power")
-_NON_NEGATIVE_FLAGS = ("target",)
-
-
-def _check_numeric_flags(args) -> None:
-    """The one rule for numeric flags: every float flag is finite; a
-    duration, speed or power is > 0, a target >= 0. The overrides of config
-    fields (--dt, --regen-eff, --until-soc) have already been held to the
-    config's own rules."""
-    for dest, value in vars(args).items():
-        if not isinstance(value, float):
-            continue
-        flag = "--" + dest.replace("_", "-")
-        if not math.isfinite(value):
-            raise ConfigError(f"{flag} must be finite (got {value})")
-        if dest in _POSITIVE_FLAGS and not value > 0.0:
-            raise ConfigError(f"{flag} must be > 0 (got {value})")
-        if dest in _NON_NEGATIVE_FLAGS and not value >= 0.0:
-            raise ConfigError(f"{flag} must be >= 0 (got {value})")
-
-
 def _load_cycle(args) -> DriveCycle:
-    path = getattr(args, "cycle", None)
+    path = args.cycle
     if not path:
         return load_udds()
     try:
@@ -280,10 +276,6 @@ def emit_trace(trace: SimTrace, path: str) -> None:
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     cycle = _load_cycle(args)
-    if args.repeat < 1:
-        raise ConfigError(f"--repeat must be >= 1 (got {args.repeat})")
-    if args.every < 1:
-        raise ConfigError(f"--every must be >= 1 (got {args.every})")
     every = args.every if (args.out or args.plot) else 0
     trace, summary, ledger = run(config, cycle, passes=args.repeat, trace_every=every)
     if args.out:
@@ -310,8 +302,6 @@ def cmd_simulate(args) -> int:
 def cmd_range(args) -> int:
     config = _load_config(args)
     cycle = _load_cycle(args)
-    if args.every < 1:
-        raise ConfigError(f"--every must be >= 1 (got {args.every})")
     if args.compare_regen:
         for flag, value in (("--out", args.out), ("--plot", args.plot)):
             if value:
@@ -419,15 +409,15 @@ def cmd_defaults(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if not getattr(args, "config", None):
+    if not args.config:
         raise ConfigError("validate requires --config PATH")
-    config = _load_config(args)  # raises ConfigError listing all violations
+    _load_config(args)  # raises ConfigError listing all violations
     _print_json(
         {
             "schema_version": SCHEMA_VERSION,
             "command": "validate",
             "valid": True,
-            "violations": validate(config),
+            "violations": [],
         }
     )
     return 0

@@ -327,7 +327,6 @@ def run(
     *,
     regen_enabled: bool = True,
     passes: int | None = 1,
-    pinned_command: float | None = None,
     trace_every: int = 1,
 ) -> tuple[SimTrace, SimSummary, EnergyLedger]:
     """Run the closed loop from ``initial_state`` until a stop condition.
@@ -372,7 +371,7 @@ def run(
         min(passes, bound / duration + 1.0) * duration, dt
     )
     end, cols, ledger_j, max_err, _ = kernel.send(
-        (min(cycle_steps, time_steps), pinned_command)
+        (min(cycle_steps, time_steps), None)
     )
     cycles, ledger = _results(end, ledger_j, dt, duration)
     t, _, dist, _, soc, _, energy_out, energy_regen, _ = end

@@ -606,7 +606,6 @@ def reference_run(
     cycle: DriveCycle,
     n: int,
     regen_enabled: bool = True,
-    pinned_command: float | None = None,
 ) -> tuple[list[TraceRecord], SimSummary, EnergyLedger]:
     """Iterate ``reference_step`` n times from rest; returns the records and
     the summary and ledger of a single-pass run bounded at n steps: its
@@ -630,7 +629,7 @@ def reference_run(
     for _ in range(n):
         v = state.speed_kmh
         state, rec, f_p, f_regen = _reference_step(
-            state, cycle, config, regen_enabled, pinned_command
+            state, cycle, config, regen_enabled, None
         )
         records.append(rec)
         v2 = rec.v_kmh

@@ -161,21 +161,40 @@ def test_malformed_cycle_exits_one(tmp_path, capsys):
     assert "row" in capsys.readouterr().err
 
 
-def test_flag_conflict_rejected(short_cycle_path, capsys):
-    code = main(
-        [
-            "simulate",
-            "--cycle", short_cycle_path,
-            "--no-regen",
-            "--regen-eff", "0.7",
-        ]
-    )
-    assert code == 1
-    assert "--no-regen" in capsys.readouterr().err
+# A usage error is one line and exit 1, as every other bad input is: an
+# unknown flag, a flag the subcommand does not read, a bad or missing
+# value, a value its type refuses, a missing or unknown subcommand.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["simulate", "--warp-speed"], "unrecognized arguments: --warp-speed"),
+        (["simulate", "--no-regen"], "unrecognized arguments: --no-regen"),
+        (["accel", "--cycle", "u.csv"], "unrecognized arguments: --cycle u.csv"),
+        (["size-motor", "--dt", "5"], "unrecognized arguments: --dt 5"),
+        (["validate", "--regen-eff", "1"], "unrecognized arguments: --regen-eff 1"),
+        (["simulate", "--every", "x"], "argument --every: invalid int value: 'x'"),
+        (["range", "--every"], "argument --every: expected one argument"),
+        (["simulate", "--repeat", "0"], "argument --repeat: must be >= 1 (got 0)"),
+        (["range", "--every", "-3"], "argument --every: must be >= 1 (got -3)"),
+        (["topspeed", "--duration", "fast"], "argument --duration: invalid float value"),
+        ([], "the following arguments are required: subcommand"),
+        (["warp"], "argument subcommand: invalid choice: 'warp'"),
+    ],
+    ids=["unknown", "removed", "unread-cycle", "unread-dt", "unread-regen-eff",
+         "bad-int", "missing-value", "zero-repeat", "negative-every", "bad-float",
+         "no-subcommand", "unknown-subcommand"],
+)
+def test_unknown_flag_exits_one(capsys, argv, expected):
+    _assert_one_line_error(capsys, main(argv), expected)
 
 
-def test_unknown_flag_exits_one(capsys):
-    assert main(["simulate", "--warp-speed"]) == 1
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["accel", "--help"], ["defaults", "-h"]],
+    ids=["bevsim", "accel", "defaults"],
+)
+def test_help_exits_zero(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: bevsim")
 
 
 def test_defaults_round_trips(capsys):
@@ -255,13 +274,17 @@ def test_non_finite_override_exits_one(short_cycle_path, capsys):
     _assert_one_line_error(capsys, code, "drivetrain.regen_efficiency")
 
 
+def _subparsers():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
 def _float_flags():
-    subparsers = build_parser()._subparsers._group_actions[0].choices
+    # float itself, and the float types that hold a flag to its rule.
     return [
         (name, action.option_strings[0])
-        for name, sub in subparsers.items()
+        for name, sub in _subparsers().items()
         for action in sub._actions
-        if action.type is float
+        if getattr(action.type, "__name__", None) == "float"
     ]
 
 
@@ -294,11 +317,16 @@ def test_float_flags_cover_every_numeric_option():
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["topspeed", "--duration", "0"], "--duration must be > 0"),
-        (["topspeed", "--duration", "-1"], "--duration must be > 0"),
-        (["accel", "--target", "-5"], "--target must be >= 0"),
-        (["size-motor", "--speed", "-1"], "--speed must be > 0"),
-        (["size-motor", "--power", "0"], "--power must be > 0"),
+        (["topspeed", "--duration", "0"],
+         "argument --duration: must be finite and > 0 (got 0)"),
+        (["topspeed", "--duration", "-1"],
+         "argument --duration: must be finite and > 0 (got -1)"),
+        (["accel", "--target", "-5"],
+         "argument --target: must be finite and >= 0 (got -5)"),
+        (["size-motor", "--speed", "-1"],
+         "argument --speed: must be finite and > 0 (got -1)"),
+        (["size-motor", "--power", "0"],
+         "argument --power: must be finite and > 0 (got 0)"),
     ],
     ids=["zero-duration", "negative-duration", "negative-target",
          "negative-speed", "zero-power"],
@@ -478,29 +506,6 @@ def test_range_compare_regen_reports_gain(small_config_path, capsys):
     assert payload["reference_gain_percents"] == [23.0, 25.0, 25.5]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate"],
-        ["range", "--until-soc", "0.85"],
-        ["range", "--compare-regen", "--until-soc", "0.85"],
-    ],
-    ids=["simulate", "range", "range-compare"],
-)
-def test_no_regen_prints_the_bytes_of_zero_regen_efficiency(capsys, argv):
-    outputs = []
-    for flags in (["--no-regen"], ["--regen-eff", "0"]):
-        assert main(argv + flags) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    doc = json.loads(outputs[0])
-    if "report" in doc:
-        assert doc["report"]["regen_enabled"] is False
-    elif "reports" in doc:
-        assert [leg["regen_enabled"] for leg in doc["reports"].values()] == [False] * 2
-        assert doc["gain_percent"] == 0.0
-
-
 @pytest.mark.parametrize("extra", [[], ["--compare-regen"]], ids=["one-leg", "compare"])
 def test_until_soc_prints_the_bytes_of_the_config_floor(tmp_path, capsys, extra):
     path = tmp_path / "floor.json"
@@ -530,22 +535,6 @@ def test_range_single_leg_with_outputs(tmp_path, small_config_path, capsys):
     assert payload["ledger"]["check_passed"] is True
     assert out.read_text().startswith(EXPECTED_HEADER)
     assert svg.read_text().startswith("<svg")
-
-
-def test_range_conflicts(small_config_path, capsys):
-    # --no-regen spells --regen-eff 0, so --compare-regen takes either one
-    # (see test_no_regen_prints_the_bytes_of_zero_regen_efficiency), but not
-    # both together.
-    code = main(
-        [
-            "range",
-            "--config", small_config_path,
-            "--compare-regen",
-            "--no-regen",
-            "--regen-eff", "0.5",
-        ]
-    )
-    _assert_one_line_error(capsys, code, "--no-regen conflicts with --regen-eff")
 
 
 @pytest.mark.parametrize("flag", ["--out", "--plot"])
@@ -723,13 +712,28 @@ def test_simulate_repeat_stops_at_the_soc_floor(tmp_path, capsys):
     assert summary["cycles_completed"] == 0
 
 
+# Each subcommand takes only the flags it reads: 29 in all.
+_FLAGS = {
+    "simulate": {"--config", "--cycle", "--dt", "--regen-eff", "--out", "--plot",
+                 "--every", "--repeat"},
+    "range": {"--config", "--cycle", "--dt", "--regen-eff", "--until-soc",
+              "--compare-regen", "--out", "--plot", "--every"},
+    "accel": {"--config", "--dt", "--target", "--plot"},
+    "topspeed": {"--config", "--dt", "--duration", "--plot"},
+    "size-motor": {"--config", "--speed", "--power"},
+    "validate": {"--config"},
+    "defaults": set(),
+}
+
+
 def test_every_subcommand_documents_every_flag():
-    parser = build_parser()
-    subparsers = parser._subparsers._group_actions[0].choices
-    assert set(subparsers) == {
-        "simulate", "range", "accel", "topspeed",
-        "size-motor", "defaults", "validate",
-    }
+    subparsers = _subparsers()
+    assert {
+        name: {opt for action in sub._actions for opt in action.option_strings}
+        - {"-h", "--help"}
+        for name, sub in subparsers.items()
+    } == _FLAGS
+    assert sum(map(len, _FLAGS.values())) == 29
     for name, sub in subparsers.items():
         help_text = sub.format_help()
         for action in sub._actions:
@@ -872,7 +876,7 @@ _CYCLES = st.none() | st.lists(
 _COMMANDS = st.sampled_from([
     ["simulate"],
     ["simulate", "--repeat", "3", "--every", "7", "--out", "t.csv"],
-    ["simulate", "--no-regen", "--plot", "t.svg"],
+    ["simulate", "--regen-eff", "0", "--plot", "t.svg"],
     ["range"],
     ["range", "--until-soc", "0.85", "--out", "r.csv", "--plot", "r.svg"],
     ["range", "--compare-regen"],
@@ -904,7 +908,8 @@ def test_main_ends_in_finite_json_or_one_error_line(doc, knots, argv):
             os.path.join(tmp, a) if a.endswith((".csv", ".svg")) else a
             for a in argv
         ] + ["--config", config]
-        if knots is not None:
+        # Only simulate and range take a cycle.
+        if knots is not None and argv[0] in ("simulate", "range"):
             t = 0.0
             rows = ["t_s,v_kmh", "0,0"]
             for gap, v in knots:

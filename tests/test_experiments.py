@@ -207,23 +207,26 @@ def test_accel_unreachable_target(config):
         accel_time_oracle(config, 250.0)
 
 
+def _full_throttle_steps(config, seconds):
+    """Times and speeds of ``seconds`` of full throttle from rest, one
+    step() at a time."""
+    state, cycle = initial_state(config), _full_throttle_cycle()
+    t, v = [], []
+    for _ in range(round(seconds / config.sim.dt)):
+        state, record = step(state, cycle, config, pinned_command=1.0)
+        t.append(record.t_s)
+        v.append(record.v_kmh)
+    return t, v
+
+
 def _accel_over_full_cap(config, target_kmh):
     """accel_test's report from one full-throttle run over the whole time
     cap; None when the target is not reached within it."""
-    trace, _, _ = run(
-        with_overrides(config, sim={"max_sim_time": _FULL_THROTTLE_TIME_CAP_S}),
-        _full_throttle_cycle(),
-        pinned_command=1.0,
-        passes=None,
-    )
-    t_cross, idx = _crossing_time(trace.t_s, trace.v_kmh, target_kmh)
+    t, v = _full_throttle_steps(config, _FULL_THROTTLE_TIME_CAP_S)
+    t_cross, idx = _crossing_time(t, v, target_kmh)
     if t_cross is None:
         return None
-    trajectory = tuple(
-        (float(t), float(v))
-        for t, v in zip(trace.t_s[: idx + 1], trace.v_kmh[: idx + 1])
-    )
-    return AccelReport(t_cross, target_kmh, trajectory)
+    return AccelReport(t_cross, target_kmh, tuple(zip(t[: idx + 1], v[: idx + 1])))
 
 
 def _accel_bits(report):
@@ -282,11 +285,7 @@ def test_accel_crossing_just_past_the_cap_is_unreachable(config):
     # both the scenario, which must not run past its last horizon, and
     # the quadrature oracle call the target unreachable.
     heavy = with_overrides(config, body={"mass": 90_000.0, "f0": 0.0})
-    trace, _, _ = run(
-        with_overrides(heavy, sim={"max_sim_time": 900.0}), _full_throttle_cycle(),
-        pinned_command=1.0, passes=None,
-    )
-    assert _crossing_time(trace.t_s, trace.v_kmh, 100.0)[0] < 900.0
+    assert _crossing_time(*_full_throttle_steps(heavy, 900.0), 100.0)[0] < 900.0
     assert _accel_over_full_cap(heavy, 100.0) is None
     with pytest.raises(UnreachableTargetError):
         accel_test(heavy, 100.0)
