@@ -176,7 +176,7 @@ def repeat(cycle: DriveCycle, n: int) -> DriveCycle:
     distance scales exactly; otherwise the join holds the last speed for a
     1 ns knot before jumping, which perturbs distance by well under 1e-9
     relative. ``run(passes=N)`` repeats a cycle; this stays only for
-    ``perfbench/workloads.py`` (ROADMAP item 1 can delete it).
+    ``perfbench/workloads.py`` (ROADMAP item 14 can delete it).
     """
     if n < 1:
         raise ValueError(f"repeat count must be >= 1 (got {n})")

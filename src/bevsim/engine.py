@@ -338,7 +338,7 @@ def run(
     max time. ``trace_every`` keeps every Nth record (0 disables
     collection; the ledger and summary always run at full rate).
     ``regen_enabled=False`` runs the config with regen_efficiency 0; ROADMAP
-    item 1 can drop the keyword with its benchmark callers.
+    item 14 can drop the keyword with its benchmark callers.
 
     Raises:
         ConfigError: If the config fails validation.

@@ -48,7 +48,7 @@ from .engine import (
     run,
 )
 from .errors import UnreachableTargetError
-from .params import RPM_KW_CONSTANT, VehicleConfig, motor_rpm_per_kmh
+from .params import _DOMAINS, RPM_KW_CONSTANT, VehicleConfig, motor_rpm_per_kmh
 
 # Published reference figures for this parameter set (not derivable from it).
 REFERENCE_REGEN_GAIN_PERCENTS = (23.0, 25.0, 25.5)
@@ -68,7 +68,7 @@ _MAX_PLOT_POINTS = 4000
 def __getattr__(name: str):
     # Only perfbench/tracer.py reads this name, to swap it; importing it
     # eagerly loaded multiprocessing into every process. This goes when
-    # ROADMAP item 1 drops the tracer's swap.
+    # ROADMAP item 14 drops the tracer's swap.
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -125,9 +125,13 @@ def _full_throttle_cycle() -> DriveCycle:
     return DriveCycle("full-throttle", (0.0, 1.0), (0.0, 0.0))
 
 
-def _require_finite(name: str, value: float) -> None:
+def _require(name: str, value: float, rule: str | None = None) -> None:
+    """Raise ValueError unless ``value`` is finite and, given a ``rule``
+    (a config domain such as ``">= 0"``), inside it."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite (got {value})")
+    if rule is not None and not _DOMAINS[rule](value):
+        raise ValueError(f"{name} must be {rule} (got {value})")
 
 
 def _full_throttle(config: VehicleConfig) -> Generator:
@@ -257,9 +261,7 @@ def accel_test(config: VehicleConfig, target_kmh: float = 100.0) -> AccelReport:
         UnreachableTargetError: If the force balance caps the top speed
             below the target (checked against the oracle up front).
     """
-    _require_finite("target", target_kmh)
-    if target_kmh < 0.0:
-        raise ValueError(f"target must be >= 0 (got {target_kmh})")
+    _require("target", target_kmh, ">= 0")
     if target_kmh == 0.0:
         return AccelReport(0.0, 0.0, ((0.0, 0.0),))
     vmax = top_speed_oracle(config)
@@ -313,9 +315,7 @@ def accel_time_oracle(config: VehicleConfig, target_kmh: float) -> float:
         UnreachableTargetError: If F_net is not positive up to the target,
             or the time exceeds the full-throttle time cap.
     """
-    _require_finite("target", target_kmh)
-    if target_kmh < 0.0:
-        raise ValueError(f"target must be >= 0 (got {target_kmh})")
+    _require("target", target_kmh, ">= 0")
     if target_kmh == 0.0:
         return 0.0
     net_force, _, corner = _net_force(config)
@@ -412,7 +412,7 @@ def top_speed_test(config: VehicleConfig, duration: float = 120.0) -> TopSpeedRe
         ValueError: If ``duration`` is not finite or too short for a step.
     """
     kernel = _full_throttle(config)
-    _require_finite("duration", duration)
+    _require("duration", duration)
     dt = config.sim.dt
     steps = min(_steps_for(duration, dt), _steps_for(config.sim.max_sim_time, dt))
     if steps <= 0:
@@ -491,9 +491,7 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> float:
 
 def size_motor(config: VehicleConfig, design_speed_kmh: float) -> float:
     """Motor power [kW] to hold a design speed: v * (RR + WR) / 3600."""
-    _require_finite("design speed", design_speed_kmh)
-    if design_speed_kmh <= 0.0:
-        raise ValueError(f"design speed must be > 0 (got {design_speed_kmh})")
+    _require("design speed", design_speed_kmh, "> 0")
     if design_speed_kmh > _MAX_DESIGN_SPEED_KMH:
         raise ValueError(
             f"design speed must be <= {_MAX_DESIGN_SPEED_KMH:g} km/h "
@@ -507,9 +505,7 @@ def size_motor(config: VehicleConfig, design_speed_kmh: float) -> float:
 
 def design_speed_for_power(config: VehicleConfig, power_kw: float) -> float:
     """Invert size_motor: the cruising speed [km/h] a power rating sustains."""
-    _require_finite("power", power_kw)
-    if power_kw <= 0.0:
-        raise ValueError(f"power must be > 0 (got {power_kw})")
+    _require("power", power_kw, "> 0")
     hi = 10.0
     while size_motor(config, hi) < power_kw:
         hi *= 2.0

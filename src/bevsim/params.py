@@ -1,8 +1,10 @@
 """Vehicle, motor, battery, drivetrain, driver, and solver parameters.
 
-Single source of truth for units. Every numeric field carries exactly one
-unit, stated in its docstring and mirrored by the JSON config schema (top
-level keys ``body``, ``motor``, ``battery``, ``drivetrain``, ``driver``,
+Single source of truth for units and domains. Every numeric field carries
+exactly one unit, stated in its docstring, and one domain, its entry in
+``_FIELD_DOMAINS``, which ``validate`` checks; the README's configuration
+table lists both. The JSON config schema mirrors the fields (top level
+keys ``body``, ``motor``, ``battery``, ``drivetrain``, ``driver``,
 ``sim``; field names exactly as below). Configs and their sections are
 ``NamedTuple``s: immutable, edited with ``with_overrides`` (or
 ``_replace``), and safe to share across concurrent simulation runs.
@@ -150,13 +152,45 @@ class VehicleConfig(NamedTuple):
 
 
 _SECTIONS = {
-    "body": VehicleBodyParams,
-    "motor": MotorParams,
-    "battery": BatteryParams,
-    "drivetrain": DrivetrainParams,
-    "driver": DriverParams,
-    "sim": SimParams,
+    name: type(section) for name, section in VehicleConfig._field_defaults.items()
 }
+
+# Each domain, worded as the messages print it, and its predicate.
+_DOMAINS = {
+    "> 0": lambda x: x > 0.0,
+    ">= 0": lambda x: x >= 0.0,
+    "in (0, 1]": lambda x: 0.0 < x <= 1.0,
+    "in [0, 1]": lambda x: 0.0 <= x <= 1.0,
+}
+# Every field's domain, in validation order.
+_FIELD_DOMAINS = (
+    ("body.mass", "> 0"), ("body.wheel_radius", "> 0"),
+    ("body.frontal_area", "> 0"), ("body.drag_coefficient", "> 0"),
+    ("body.f0", ">= 0"), ("body.f1", ">= 0"), ("body.f4", ">= 0"),
+    ("body.gravity", "> 0"),
+    ("motor.max_torque", "> 0"), ("motor.max_power", "> 0"),
+    ("motor.max_speed", "> 0"), ("motor.efficiency", "in (0, 1]"),
+    ("battery.capacity_energy", "> 0"), ("battery.nominal_voltage", "> 0"),
+    ("battery.internal_resistance", ">= 0"),
+    ("battery.coulombic_efficiency", "in (0, 1]"),
+    ("battery.soc_floor", "in [0, 1]"), ("battery.initial_soc", "in [0, 1]"),
+    ("drivetrain.gear_ratio", "> 0"),
+    ("drivetrain.transmission_efficiency", "in (0, 1]"),
+    ("drivetrain.max_friction_brake_force", ">= 0"),
+    ("drivetrain.regen_efficiency", "in [0, 1]"),
+    ("drivetrain.regen_cutoff_speed", ">= 0"),
+    ("driver.kp", ">= 0"), ("driver.ki", ">= 0"),
+    ("sim.dt", "in (0, 1]"), ("sim.max_sim_time", "> 0"),
+)
+# Labels in the order a config's values flatten to; the table resolved to
+# (flat index, label, rule, predicate), so a misspelt label fails at import.
+_LABELS = tuple(
+    f"{section}.{field}" for section, cls in _SECTIONS.items() for field in cls._fields
+)
+_DOMAIN_CHECKS = tuple(
+    (_LABELS.index(label), label, rule, _DOMAINS[rule])
+    for label, rule in _FIELD_DOMAINS
+)
 
 
 def default_config() -> VehicleConfig:
@@ -216,92 +250,31 @@ def serialize_config(config: VehicleConfig) -> str:
 
 
 def validate(config: VehicleConfig) -> list[str]:
-    """Check every invariant; return all violations (empty list = valid)."""
+    """Check every invariant; return all violations (empty list = valid),
+    in order: finiteness for every field, each field's domain in table
+    order, then ``soc_floor < initial_soc`` and a finite step count."""
     v: list[str] = []
-    for section in _SECTIONS:
-        params = getattr(config, section)
-        for name, value in zip(params._fields, params):
-            if not math.isfinite(value):
-                v.append(f"{section}.{name}: must be finite (got {value})")
-    b = config.body
-    _positive(v, "body.mass", b.mass)
-    _positive(v, "body.wheel_radius", b.wheel_radius)
-    _positive(v, "body.frontal_area", b.frontal_area)
-    _positive(v, "body.drag_coefficient", b.drag_coefficient)
-    _non_negative(v, "body.f0", b.f0)
-    _non_negative(v, "body.f1", b.f1)
-    _non_negative(v, "body.f4", b.f4)
-    _positive(v, "body.gravity", b.gravity)
-
-    m = config.motor
-    _positive(v, "motor.max_torque", m.max_torque)
-    _positive(v, "motor.max_power", m.max_power)
-    _positive(v, "motor.max_speed", m.max_speed)
-    if not 0.0 < m.efficiency <= 1.0:
-        v.append(f"motor.efficiency: must be in (0, 1] (got {m.efficiency})")
-
+    values = [value for params in config for value in params]
+    for label, value in zip(_LABELS, values):
+        if not math.isfinite(value):
+            v.append(f"{label}: must be finite (got {value})")
+    for k, label, rule, holds in _DOMAIN_CHECKS:
+        value = values[k]
+        if not holds(value):
+            v.append(f"{label}: must be {rule} (got {value})")
     bat = config.battery
-    _positive(v, "battery.capacity_energy", bat.capacity_energy)
-    _positive(v, "battery.nominal_voltage", bat.nominal_voltage)
-    _non_negative(v, "battery.internal_resistance", bat.internal_resistance)
-    if not 0.0 < bat.coulombic_efficiency <= 1.0:
-        v.append(
-            f"battery.coulombic_efficiency: must be in (0, 1] "
-            f"(got {bat.coulombic_efficiency})"
-        )
-    if not 0.0 <= bat.soc_floor <= 1.0:
-        v.append(f"battery.soc_floor: must be in [0, 1] (got {bat.soc_floor})")
-    if not 0.0 <= bat.initial_soc <= 1.0:
-        v.append(
-            f"battery.initial_soc: must be in [0, 1] (got {bat.initial_soc})"
-        )
     if not bat.soc_floor < bat.initial_soc:
         v.append(
             f"battery.soc_floor: must satisfy soc_floor < initial_soc "
             f"(got {bat.soc_floor} >= {bat.initial_soc})"
         )
-
-    d = config.drivetrain
-    _positive(v, "drivetrain.gear_ratio", d.gear_ratio)
-    if not 0.0 < d.transmission_efficiency <= 1.0:
-        v.append(
-            f"drivetrain.transmission_efficiency: must be in (0, 1] "
-            f"(got {d.transmission_efficiency})"
-        )
-    _non_negative(v, "drivetrain.max_friction_brake_force", d.max_friction_brake_force)
-    if not 0.0 <= d.regen_efficiency <= 1.0:
-        v.append(
-            f"drivetrain.regen_efficiency: must be in [0, 1] "
-            f"(got {d.regen_efficiency})"
-        )
-    _non_negative(v, "drivetrain.regen_cutoff_speed", d.regen_cutoff_speed)
-
-    drv = config.driver
-    _non_negative(v, "driver.kp", drv.kp)
-    _non_negative(v, "driver.ki", drv.ki)
-
-    s = config.sim
-    if not 0.0 < s.dt <= 1.0:
-        v.append(f"sim.dt: must be in (0, 1] (got {s.dt})")
-    _positive(v, "sim.max_sim_time", s.max_sim_time)
-    if s.dt > 0.0 and 0.0 < s.max_sim_time < math.inf and (
-        s.max_sim_time / s.dt == math.inf
-    ):
+    dt, max_time = config.sim
+    if dt > 0.0 and max_time < math.inf and max_time / dt == math.inf:
         v.append(
             "sim.max_sim_time / sim.dt: must be a finite step count "
-            f"(got {s.max_sim_time} / {s.dt})"
+            f"(got {max_time} / {dt})"
         )
     return v
-
-
-def _positive(out: list[str], name: str, value: float) -> None:
-    if not value > 0.0:
-        out.append(f"{name}: must be > 0 (got {value})")
-
-
-def _non_negative(out: list[str], name: str, value: float) -> None:
-    if not value >= 0.0:
-        out.append(f"{name}: must be >= 0 (got {value})")
 
 
 def motor_rpm_per_kmh(wheel_radius: float, gear_ratio: float) -> float:

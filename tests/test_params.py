@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,12 @@ from bevsim import (
     serialize_config,
     validate,
 )
-from bevsim.params import RPM_KW_CONSTANT, with_overrides
+from bevsim.params import (
+    _FIELD_DOMAINS,
+    _SECTIONS,
+    RPM_KW_CONSTANT,
+    with_overrides,
+)
 
 
 def test_defaults_carry_published_vehicle_values(config):
@@ -141,6 +147,118 @@ def test_validate_collects_every_violation(config):
     )
     violations = validate(bad)
     assert len(violations) >= 3
+
+
+_ABOVE_ONE = 1.0000000000000002
+# The nearest floats outside each domain, one per finite end.
+_OUTSIDE = {
+    "> 0": (0.0,),
+    ">= 0": (-5e-324,),
+    "in (0, 1]": (0.0, _ABOVE_ONE),
+    "in [0, 1]": (-5e-324, _ABOVE_ONE),
+}
+# The nearest floats inside each domain, one per finite end.
+_INSIDE = {
+    "> 0": (5e-324,),
+    ">= 0": (0.0,),
+    "in (0, 1]": (5e-324, 1.0),
+    "in [0, 1]": (0.0, 1.0),
+}
+_SOC_ORDER = "battery.soc_floor: must satisfy soc_floor < initial_soc (got {} >= {})"
+
+
+def _with_field(label, value):
+    section, field = label.split(".")
+    return with_overrides(default_config(), **{section: {field: value}})
+
+
+def test_domain_table_names_every_field_exactly_once():
+    labels = [label for label, _ in _FIELD_DOMAINS]
+    every_field = [f"{s}.{f}" for s, cls in _SECTIONS.items() for f in cls._fields]
+    assert sorted(labels) == sorted(every_field)
+    assert len(set(labels)) == len(labels) == 27
+    assert {rule for _, rule in _FIELD_DOMAINS} == set(_OUTSIDE)
+
+
+@pytest.mark.parametrize(
+    "label, rule, value",
+    [
+        pytest.param(label, rule, value, id=f"{label}={value!r}")
+        for label, rule in _FIELD_DOMAINS
+        for value in _OUTSIDE[rule]
+    ],
+)
+def test_a_value_just_outside_its_domain_gives_its_message(label, rule, value):
+    expected = [f"{label}: must be {rule} (got {value})"]
+    # Past the far end of its domain, a soc field also breaks the soc order.
+    if (label, value) == ("battery.initial_soc", -5e-324):
+        expected.append(_SOC_ORDER.format(0.1, value))
+    if (label, value) == ("battery.soc_floor", _ABOVE_ONE):
+        expected.append(_SOC_ORDER.format(value, 0.9))
+    assert validate(_with_field(label, value)) == expected
+
+
+@pytest.mark.parametrize(
+    "label, rule, value",
+    [
+        pytest.param(label, rule, value, id=f"{label}={value!r}")
+        for label, rule in _FIELD_DOMAINS
+        for value in _INSIDE[rule]
+    ],
+)
+def test_a_domain_holds_its_ends(label, rule, value):
+    # A cross-field rule may still fire; the field's own domain may not.
+    violations = validate(_with_field(label, value))
+    assert not [v for v in violations if v.startswith(f"{label}: must be ")]
+
+
+@pytest.mark.parametrize(
+    "label, rule", _FIELD_DOMAINS, ids=[label for label, _ in _FIELD_DOMAINS]
+)
+def test_nan_breaks_finiteness_and_the_domain(label, rule):
+    expected = [
+        f"{label}: must be finite (got nan)",
+        f"{label}: must be {rule} (got nan)",
+    ]
+    if label == "battery.soc_floor":
+        expected.append(_SOC_ORDER.format(math.nan, 0.9))
+    if label == "battery.initial_soc":
+        expected.append(_SOC_ORDER.format(0.1, math.nan))
+    assert validate(_with_field(label, math.nan)) == expected
+
+
+def test_validate_orders_finiteness_then_domains_then_cross_field_rules(config):
+    bad = with_overrides(
+        config,
+        battery={"initial_soc": 0.05},
+        sim={"dt": 5e-324},
+        body={"f1": -1.0, "mass": math.inf},
+        driver={"ki": math.nan},
+    )
+    assert validate(bad) == [
+        "body.mass: must be finite (got inf)",
+        "driver.ki: must be finite (got nan)",
+        "body.f1: must be >= 0 (got -1.0)",
+        "driver.ki: must be >= 0 (got nan)",
+        _SOC_ORDER.format(0.1, 0.05),
+        "sim.max_sim_time / sim.dt: must be a finite step count "
+        "(got 500000.0 / 5e-324)",
+    ]
+
+
+def test_readme_configuration_table_states_each_domain():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text(encoding="utf-8").split("## Configuration\n", 1)[1]
+    rows = [line.split(" | ") for line in table.split("\n## ", 1)[0].splitlines()
+            if line.startswith("| ")]
+    assert rows[0][:4] == ["| section.field", "unit", "default", "domain"]
+    documented = []
+    for cells in rows[1:]:
+        # "body.f0 / f1 / f4" documents f0, f1 and f4 of section body.
+        first, *more = cells[0].removeprefix("| ").split(" / ")
+        section, field = first.split(".")
+        documented += [(f"{section}.{f}", cells[3]) for f in (field, *more)]
+    assert sorted(documented) == sorted(_FIELD_DOMAINS)
 
 
 def test_serialize_round_trip(config):
